@@ -14,25 +14,21 @@ set of highest-weight components whose weight sum exceeds
 so the returned mask reflects the model as of the previous frame.
 
 Matched components move toward the sample with gain rho = eta / w (using
-the freshly bumped weight); an unmatched sample replaces the lowest-weight
-component, or occupies a free slot while any remain.  Components are never
-deleted.  The whole update is deterministic.
+the freshly bumped weight); an unmatched sample enters at weight eta,
+replacing the lowest-weight component, or occupying a free slot while any
+remain.  Components are never deleted.  The whole update is deterministic.
 """
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import ConfigError, ShapeError
 from .frameio import Frame
-
-DEFAULT_HISTORY = 500
-DEFAULT_MATCH_THRESHOLD = 3.0
-DEFAULT_BACKGROUND_FRACTION = 0.1
-DEFAULT_MAX_COMPONENTS = 5
-DEFAULT_VAR_INIT = 225.0
-DEFAULT_VAR_MIN = 4.0
-DEFAULT_VAR_MAX = 5000.0
 
 
 class BackgroundModel:
@@ -46,48 +42,36 @@ class BackgroundModel:
     kept sorted by descending weight (stable, so ties keep their order).
     """
 
-    def __init__(self, width: int, height: int, *,
-                 history_length: int = DEFAULT_HISTORY,
-                 match_threshold: float = DEFAULT_MATCH_THRESHOLD,
-                 background_fraction: float = DEFAULT_BACKGROUND_FRACTION,
-                 max_components: int = DEFAULT_MAX_COMPONENTS,
-                 var_init: float = DEFAULT_VAR_INIT,
-                 var_min: float = DEFAULT_VAR_MIN,
-                 var_max: float = DEFAULT_VAR_MAX,
-                 weight_init: float | None = None):
+    def __init__(self, width: int, height: int, config: PipelineConfig | None = None,
+                 **overrides):
+        """Mixture parameters come from config (default PipelineConfig()),
+        with keyword overrides such as ``history_length=100`` on top."""
         if width < 1 or height < 1:
             raise ConfigError(f"model grid must be at least 1x1, got {width}x{height}")
-        if history_length < 1:
-            raise ConfigError(f"history_length must be >= 1, got {history_length}")
-        if match_threshold <= 0:
-            raise ConfigError(f"match_threshold must be > 0, got {match_threshold}")
-        if not 0.0 < background_fraction < 1.0:
+        cfg = replace(config or PipelineConfig(), **overrides)
+        # weight, mean and variance: 8 + 24 + 8 bytes per slot and pixel
+        state = 40 * cfg.max_components * width * height
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if state > memory:
             raise ConfigError(
-                f"background_fraction must be in (0, 1), got {background_fraction}")
-        if max_components < 1:
-            raise ConfigError(f"max_components must be >= 1, got {max_components}")
-        if not 0.0 < var_min <= var_init <= var_max:
-            raise ConfigError(
-                f"need 0 < var_min <= var_init <= var_max, got "
-                f"{var_min}, {var_init}, {var_max}")
+                f"max_components={cfg.max_components} at {width}x{height} needs "
+                f"{state / 2**30:.1f} GiB of model state, more than the "
+                f"{memory / 2**30:.1f} GiB of physical memory")
 
         self.width = width
         self.height = height
-        self.history_length = history_length
-        self.learning_rate = 1.0 / history_length
-        self.match_threshold = match_threshold
-        self.background_fraction = background_fraction
-        self.max_components = max_components
-        self.var_init = float(var_init)
-        self.var_min = float(var_min)
-        self.var_max = float(var_max)
-        self.weight_init = self.learning_rate if weight_init is None else float(weight_init)
-        if not 0.0 < self.weight_init <= 1.0:
-            raise ConfigError(f"weight_init must be in (0, 1], got {self.weight_init}")
+        self.history_length = cfg.history_length
+        self.learning_rate = 1.0 / cfg.history_length
+        self.match_threshold = cfg.match_threshold
+        self.background_fraction = cfg.background_fraction
+        self.max_components = cfg.max_components
+        self.var_init = float(cfg.var_init)
+        self.var_min = float(cfg.var_min)
+        self.var_max = float(cfg.var_max)
         self.frames_seen = 0
 
         n = width * height
-        m = max_components
+        m = self.max_components
         self.weight = np.zeros((m, n))
         self.mean = np.zeros((m, n, 3))
         self.variance = np.ones((m, n))
@@ -162,7 +146,7 @@ class BackgroundModel:
         if missed.size:
             nc = self.ncomp[missed]
             slot = np.where(nc < m, nc, m - 1)
-            self.weight[slot, missed] = self.weight_init
+            self.weight[slot, missed] = eta
             self.mean[slot, missed] = x[missed]
             self.variance[slot, missed] = self.var_init
             self.ncomp[missed] = np.minimum(nc + 1, m)

@@ -67,6 +67,10 @@ class PipelineConfig:
     bands: tuple[ColorBand, ...] = DEFAULT_BANDS
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.history_length < 1:
             raise ConfigError(f"history_length must be >= 1, got {self.history_length}")
         if self.match_threshold <= 0:
@@ -138,8 +142,7 @@ class PipelineConfig:
                 data["bands"] = tuple(
                     ColorBand(b["label"],
                               tuple((float(lo), float(hi)) for lo, hi in b["hue_ranges"]),
-                              float(b.get("sat_min", 0.30)),
-                              float(b.get("val_min", 0.20)))
+                              **{k: float(b[k]) for k in ("sat_min", "val_min") if k in b})
                     for b in raw_bands)
             except (KeyError, TypeError, ValueError, ValidationError) as e:
                 raise ConfigError(f"bad band table: {e}") from None
@@ -161,14 +164,9 @@ class PipelineConfig:
                 scalars[key] = value
 
         kwargs: dict = {}
-        converters = {
-            "history_length": int, "match_threshold": float,
-            "background_fraction": float, "max_components": int,
-            "var_init": float, "var_min": float, "var_max": float,
-            "binarize_threshold": int, "se_size": int, "min_area": float,
-            "gap_threshold": float, "containment_min": float,
-            "warmup_frames": int,
-        }
+        # annotations are strings here: "int", "float | None", ...
+        converters = {f.name: int if f.type.startswith("int") else float
+                      for f in fields(cls) if f.name != "bands"}
         for key, value in scalars.items():
             if key not in converters:
                 raise ConfigError(f"unknown config key {key!r}")

@@ -24,15 +24,7 @@ class Pipeline:
 
     def __init__(self, width: int, height: int, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
-        self.model = bgsub.BackgroundModel(
-            width, height,
-            history_length=self.config.history_length,
-            match_threshold=self.config.match_threshold,
-            background_fraction=self.config.background_fraction,
-            max_components=self.config.max_components,
-            var_init=self.config.var_init,
-            var_min=self.config.var_min,
-            var_max=self.config.var_max)
+        self.model = bgsub.BackgroundModel(width, height, self.config)
         self.min_area = self.config.min_area_for(width, height)
         self.gap_threshold = self.config.gap_threshold_for(width, height)
 

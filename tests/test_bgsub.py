@@ -1,8 +1,12 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from garmwatch import BackgroundModel, ConfigError, Frame, ShapeError, apply_mask
+from garmwatch import (BackgroundModel, ConfigError, Frame, PipelineConfig, ShapeError,
+                       apply_mask)
 
 
 def gray_frame(value, w=4, h=3, index=0):
@@ -36,6 +40,36 @@ def test_init_rejects_bad_config():
         BackgroundModel(4, 4, match_threshold=0.0)
     with pytest.raises(ConfigError):
         BackgroundModel(4, 4, var_min=10.0, var_init=5.0)
+
+
+def test_parameters_come_from_config():
+    cfg = PipelineConfig(history_length=40, max_components=3, var_init=100.0)
+    m = BackgroundModel(2, 2, cfg)
+    assert m.learning_rate == 1 / 40
+    assert m.weight.shape == (3, 4)
+    assert np.all(m.variance[0] == 100.0)
+    # keyword overrides sit on top of the config
+    assert BackgroundModel(2, 2, cfg, max_components=2).weight.shape == (2, 4)
+
+
+def test_oversized_state_rejected_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="physical memory"):
+            BackgroundModel(2, 2, max_components=10**15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_state_bound_is_physical_memory(monkeypatch):
+    # 40 bytes per slot and pixel against one fake 4 KiB page
+    pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert BackgroundModel(2, 2, max_components=25).weight.shape == (25, 4)
+    with pytest.raises(ConfigError, match="max_components=26"):
+        BackgroundModel(2, 2, max_components=26)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +215,7 @@ def test_single_pixel_matches_reference_recurrence():
             comps, x, eta=m.learning_rate, k=m.match_threshold,
             cf=m.background_fraction, mmax=m.max_components,
             var_init=m.var_init, var_min=m.var_min, var_max=m.var_max,
-            w_init=m.weight_init)
+            w_init=m.learning_rate)
         assert fg == want_fg, f"step {step}: fg {fg} != {want_fg}"
         assert m.ncomp[0] == len(comps)
         for i, (w, mean, var) in enumerate(comps):

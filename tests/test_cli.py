@@ -215,6 +215,18 @@ def test_invalid_config_value_exit_2(workspace, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["match_threshold = nan", "var_max = inf",
+                                  "max_components = 1000000000000000"])
+def test_unusable_config_value_exit_2(workspace, tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG_TEXT + line + "\n")
+    rc = main(["detect", "--frames", str(workspace / "frames"),
+               "--config", str(bad), "--out", str(tmp_path / "det.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_config_key_exit_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from garmwatch import ConfigError, PipelineConfig
+from garmwatch import BackgroundModel, ConfigError, PipelineConfig
 from garmwatch.colorseg import DEFAULT_BANDS
 from garmwatch.config import parse_flat_text, read_flat_file
 
@@ -81,6 +81,27 @@ def test_validation_ranges():
         PipelineConfig(bands=())
 
 
+NON_FINITE = [
+    {"match_threshold": math.nan}, {"match_threshold": math.inf},
+    {"match_threshold": -math.inf}, {"var_max": math.inf},
+    {"var_init": math.inf, "var_max": math.inf}, {"var_min": math.nan},
+    {"history_length": math.inf}, {"max_components": math.inf},
+    {"background_fraction": math.nan}, {"se_size": math.nan},
+    {"min_area": math.nan}, {"min_area": math.inf},
+    {"gap_threshold": math.nan}, {"gap_threshold": math.inf},
+    {"warmup_frames": math.inf},
+]
+
+
+@pytest.mark.parametrize("kw", NON_FINITE,
+                         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_non_finite_values_rejected(kw):
+    with pytest.raises(ConfigError, match="must be finite"):
+        PipelineConfig(**kw)
+    with pytest.raises(ConfigError, match="must be finite"):
+        BackgroundModel(2, 2, **kw)
+
+
 # ---------------------------------------------------------------------------
 # from flat mapping
 
@@ -140,6 +161,8 @@ def test_from_mapping_errors():
         PipelineConfig.from_mapping({"histroy_length": "10"})
     with pytest.raises(ConfigError):
         PipelineConfig.from_mapping({"history_length": "fast"})
+    with pytest.raises(ConfigError, match="finite"):
+        PipelineConfig.from_mapping({"match_threshold": "nan"})
     with pytest.raises(ConfigError):
         PipelineConfig.from_mapping({"band.red.hue": "0-20"})
     with pytest.raises(ConfigError):
