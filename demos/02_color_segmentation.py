@@ -2,7 +2,8 @@
 
 Paints four colored rectangles plus a dull jacket on gray, runs each default
 color band over the frame, and prints what every band caught.  Ends with the
-gray conversion step that feeds the contour stage.
+luma view of one band mask and its threshold, which the detector's
+band_masks applies in the same pass as the band test.
 """
 
 import numpy as np
@@ -40,4 +41,4 @@ print(f"\ngray view of the red mask: {int((gray > 0).sum())} nonzero px, "
       f"peak value {int(gray.max())} (rounded Rec. 601 luma of pure paint)")
 print("rows 4..13 columns 4..15 hold the red rectangle:")
 for row in gray[2:16:3]:
-    print("   ", "".join(".#"[v > 40] for v in row[:40]))
+    print("   ", "".join(".#"[int(v > 40)] for v in row[:40]))

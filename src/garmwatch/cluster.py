@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .frameio import BoundingBox, Detection, PersonBoxes
 from .regions import Contour
@@ -89,27 +91,6 @@ def cluster_contours(contours: list[Contour], color_label: str,
     return clusters
 
 
-def _union_intersection_area(bbox: BoundingBox, boxes: list[BoundingBox]) -> int:
-    # Area of bbox covered by the union of boxes, by coordinate compression.
-    clipped = []
-    for b in boxes:
-        x1, y1 = max(bbox.x, b.x), max(bbox.y, b.y)
-        x2, y2 = min(bbox.x2, b.x2), min(bbox.y2, b.y2)
-        if x1 < x2 and y1 < y2:
-            clipped.append((x1, y1, x2, y2))
-    if not clipped:
-        return 0
-    xs = sorted({v for box in clipped for v in (box[0], box[2])})
-    ys = sorted({v for box in clipped for v in (box[1], box[3])})
-    area = 0
-    for xi in range(len(xs) - 1):
-        for yi in range(len(ys) - 1):
-            cx, cy = xs[xi], ys[yi]
-            if any(b[0] <= cx < b[2] and b[1] <= cy < b[3] for b in clipped):
-                area += (xs[xi + 1] - cx) * (ys[yi + 1] - cy)
-    return area
-
-
 def exclude_persons(clusters: list[RegionCluster], persons: PersonBoxes | None,
                     containment_min: float = 0.5) -> list[RegionCluster]:
     """Drop clusters whose bbox lies mostly under the person boxes.
@@ -123,8 +104,12 @@ def exclude_persons(clusters: list[RegionCluster], persons: PersonBoxes | None,
         return list(clusters)
     out = []
     for cluster in clusters:
-        covered = _union_intersection_area(cluster.bbox, persons.boxes)
-        if covered < containment_min * cluster.bbox.area:
+        # Covered pixels on a bbox-sized grid; bounds clamp at 0, as negatives wrap.
+        b = cluster.bbox
+        grid = np.zeros((b.h, b.w), dtype=bool)
+        for p in persons.boxes:
+            grid[max(p.y - b.y, 0):max(p.y2 - b.y, 0), max(p.x - b.x, 0):max(p.x2 - b.x, 0)] = True
+        if np.count_nonzero(grid) < containment_min * b.area:
             out.append(cluster)
     return out
 

@@ -1,11 +1,11 @@
-"""Color band masks over foreground frames, and grayscale conversion.
+"""Color band masks over the foreground pixels of a frame, and grayscale conversion.
 
 A ColorBand names a garment color as one or two hue intervals (two for
-wrap-around reds) plus saturation and value floors.  color_mask picks the
-pixels of a foreground frame falling inside a band; masked_to_gray turns
-the picked pixels into an 8-bit luma raster, zero elsewhere.  Background
-pixels of a foreground frame are exact black, so any band with a positive
-value floor ignores them for free.
+wrap-around reds) plus saturation and value floors.  band_masks converts a
+frame's foreground pixels to HSV and luma once and gives each band the
+pixels inside it and above the binarize threshold.  color_mask and
+masked_to_gray do the band and luma steps over a whole foreground frame
+(background pixels exact black); band_masks is tested against them.
 """
 
 from __future__ import annotations
@@ -93,11 +93,11 @@ def hsv_to_rgb(h: float, s: float, v: float) -> tuple[int, int, int]:
 
 
 def _hsv_planes(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Vectorized hexcone conversion over a (h, w, 3) uint8 raster.
+    # Vectorized hexcone conversion over uint8 RGB in the last axis.
     p = pixels.astype(np.float64) / 255.0
     r, g, b = p[..., 0], p[..., 1], p[..., 2]
-    v = p.max(axis=2)
-    c = v - p.min(axis=2)
+    v = p.max(axis=-1)
+    c = v - p.min(axis=-1)
     safe = np.where(c == 0.0, 1.0, c)
     h = np.where(v == r, ((g - b) / safe) % 6.0,
                  np.where(v == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0))
@@ -119,10 +119,27 @@ def color_mask(fframe: Frame, band: ColorBand) -> np.ndarray:
     return _band_mask_from_planes(*_hsv_planes(fframe.pixels), band)
 
 
-def band_masks(fframe: Frame, bands) -> list[np.ndarray]:
-    """color_mask for several bands with one shared HSV conversion."""
-    h, s, v = _hsv_planes(fframe.pixels)
-    return [_band_mask_from_planes(h, s, v, band) for band in bands]
+def _luma(pixels: np.ndarray) -> np.ndarray:
+    p = pixels.astype(np.float64)  # RGB in the last axis; Rec. 601, rounded half up
+    return np.floor(0.299 * p[..., 0] + 0.587 * p[..., 1] + 0.114 * p[..., 2] + 0.5)
+
+
+def band_masks(frame: Frame, fg: np.ndarray, bands, threshold: int) -> list[np.ndarray]:
+    """Per band, the foreground pixels inside the band with luma above threshold.
+
+    Equals binarize(masked_to_gray(F, color_mask(F, band)), threshold) with
+    F = apply_mask(frame, fg) for any threshold >= 0, as F is black outside fg.
+    """
+    if fg.shape != (frame.height, frame.width):
+        raise ShapeError(f"mask is {fg.shape}, frame is {(frame.height, frame.width)}")
+    idx = np.flatnonzero(fg)
+    pixels = frame.pixels.reshape(-1, 3)[idx]
+    bright = _luma(pixels) > threshold
+    h, s, v = _hsv_planes(pixels)
+    masks = [np.zeros(fg.shape, dtype=bool) for _ in bands]
+    for mask, band in zip(masks, bands):
+        mask.flat[idx[bright & _band_mask_from_planes(h, s, v, band)]] = True
+    return masks
 
 
 def masked_to_gray(fframe: Frame, mask: np.ndarray) -> np.ndarray:
@@ -131,8 +148,5 @@ def masked_to_gray(fframe: Frame, mask: np.ndarray) -> np.ndarray:
     Returns a uint8 array of shape (height, width).
     """
     if mask.shape != (fframe.height, fframe.width):
-        raise ShapeError(
-            f"mask is {mask.shape}, frame is {(fframe.height, fframe.width)}")
-    p = fframe.pixels.astype(np.float64)
-    luma = np.floor(0.299 * p[..., 0] + 0.587 * p[..., 1] + 0.114 * p[..., 2] + 0.5)
-    return np.where(mask.astype(bool), luma, 0.0).astype(np.uint8)
+        raise ShapeError(f"mask is {mask.shape}, frame is {(fframe.height, fframe.width)}")
+    return np.where(mask.astype(bool), _luma(fframe.pixels), 0.0).astype(np.uint8)

@@ -15,6 +15,7 @@ square root for the linking distance).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -67,10 +68,17 @@ class PipelineConfig:
     bands: tuple[ColorBand, ...] = DEFAULT_BANDS
 
     def __post_init__(self):
+        # annotations are strings here: "int", "float | None", ...
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, (int, float)) and not math.isfinite(value):
+            if f.name == "bands" or (value is None and f.type.endswith("None")):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type.startswith("int") and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value}")
         if self.history_length < 1:
             raise ConfigError(f"history_length must be >= 1, got {self.history_length}")
         if self.match_threshold <= 0:
@@ -164,7 +172,6 @@ class PipelineConfig:
                 scalars[key] = value
 
         kwargs: dict = {}
-        # annotations are strings here: "int", "float | None", ...
         converters = {f.name: int if f.type.startswith("int") else float
                       for f in fields(cls) if f.name != "bands"}
         for key, value in scalars.items():

@@ -16,7 +16,7 @@ over matched pairs only; unmatched ground truths do not contribute zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .frameio import Annotation, BoundingBox, Detection
@@ -36,7 +36,6 @@ class EvalReport:
     recall: float
     mean_iou: float
     threshold: float
-    curve: list[tuple[float, float, float]] = field(default_factory=list)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -1,11 +1,11 @@
 """End-to-end detection: frames in, garment Detections out.
 
 Per frame the stages run in a fixed order: the background model classifies
-and updates, foreground pixels survive into the F-frame, each configured
-color band masks the F-frame and converts its pixels to grayscale, the
-grayscale plane is thresholded and closed, contours are traced, small ones
-dropped, the rest clustered by bounding-box gap, clusters under person
-boxes discarded, and the survivors emitted as Detections.  No detections
+and updates, and one pass over the foreground pixels builds each configured
+color band's mask of pixels inside the band and above the binarize
+threshold.  Each mask is closed, contours are traced, small ones dropped,
+the rest clustered by bounding-box gap, clusters under person boxes
+discarded, and the survivors emitted as Detections.  No detections
 are emitted during the warmup span while the model absorbs the static
 scene, but the model still updates on those frames.
 """
@@ -34,18 +34,13 @@ class Pipeline:
         fg_mask = self.model.update(frame)
         if frame.index < cfg.warmup:
             return []
-        fframe = bgsub.apply_mask(frame, fg_mask)
         detections: list[Detection] = []
         frame_area = frame.width * frame.height
-        masks = colorseg.band_masks(fframe, cfg.bands)
+        masks = colorseg.band_masks(frame, fg_mask, cfg.bands, cfg.binarize_threshold)
         for band, mask in zip(cfg.bands, masks):
-            gray = colorseg.masked_to_gray(fframe, mask)
-            closed = regions.close(regions.binarize(gray, cfg.binarize_threshold),
-                                   cfg.se_size)
-            contours = regions.filter_small(regions.trace_contours(closed),
-                                            self.min_area)
-            clusters = cluster.cluster_contours(contours, band.label,
-                                                self.gap_threshold)
+            contours = regions.filter_small(
+                regions.trace_contours(regions.close(mask, cfg.se_size)), self.min_area)
+            clusters = cluster.cluster_contours(contours, band.label, self.gap_threshold)
             clusters = cluster.exclude_persons(clusters, persons, cfg.containment_min)
             detections.extend(cluster.to_detections(clusters, frame.index, frame_area))
         return detections

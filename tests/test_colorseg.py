@@ -2,10 +2,13 @@ import colorsys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from garmwatch import (DEFAULT_BANDS, ColorBand, Frame, ShapeError,
-                       ValidationError, color_mask, masked_to_gray, rgb_to_hsv)
-from garmwatch.colorseg import hsv_to_rgb
+from garmwatch import (DEFAULT_BANDS, ColorBand, Frame, ShapeError, ValidationError,
+                       apply_mask, binarize, color_mask, masked_to_gray, rgb_to_hsv)
+from garmwatch.colorseg import band_masks, hsv_to_rgb
 
 
 def band(label):
@@ -164,3 +167,40 @@ def test_gray_shape_error():
     frame = Frame(0, np.zeros((3, 3, 3), np.uint8))
     with pytest.raises(ShapeError):
         masked_to_gray(frame, np.ones((2, 3), bool))
+
+
+# ---------------------------------------------------------------------------
+# band_masks: the fused foreground pass against the full-frame chain
+
+# DEFAULT_BANDS plus a band that matches black, which the foreground frame
+# paints everywhere outside fg.
+ALL_BANDS = DEFAULT_BANDS + (ColorBand("any", ((0.0, 360.0),), sat_min=0.0, val_min=0.0),)
+
+
+@st.composite
+def frames_with_fg(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pixels = draw(hnp.arrays(np.uint8, (h, w, 3)))
+    fg = draw(st.one_of(st.just(np.zeros((h, w), bool)), st.just(np.ones((h, w), bool)),
+                        hnp.arrays(bool, (h, w))))
+    return Frame(0, pixels), fg
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames_with_fg(), st.integers(0, 255))
+def test_band_masks_match_full_frame_chain(frame_fg, threshold):
+    frame, fg = frame_fg
+    fframe = apply_mask(frame, fg)
+    want = [binarize(masked_to_gray(fframe, color_mask(fframe, b)), threshold)
+            for b in ALL_BANDS]
+    got = band_masks(frame, fg, ALL_BANDS, threshold)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == bool and g.shape == fg.shape
+        assert np.array_equal(g, w)
+
+
+def test_band_masks_shape_error():
+    frame = Frame(0, np.zeros((3, 3, 3), np.uint8))
+    with pytest.raises(ShapeError):
+        band_masks(frame, np.ones((2, 3), bool), DEFAULT_BANDS, 40)

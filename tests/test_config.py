@@ -93,12 +93,24 @@ NON_FINITE = [
 ]
 
 
-@pytest.mark.parametrize("kw", NON_FINITE,
-                         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-def test_non_finite_values_rejected(kw):
-    with pytest.raises(ConfigError, match="must be finite"):
+BAD_VALUES = [(kw, "must be finite") for kw in NON_FINITE] + [
+    ({"max_components": 2.5}, "must be an integer"),
+    ({"se_size": 5.5}, "must be an integer"),
+    ({"history_length": True}, "must be a number"),
+    ({"history_length": None}, "must be a number"),
+    ({"match_threshold": "3"}, "must be a number"),
+]
+
+
+@pytest.mark.parametrize("kw, match", BAD_VALUES, ids=[
+    ",".join(f"{k}={v}" for k, v in kw.items()) for kw, _ in BAD_VALUES])
+def test_non_finite_values_rejected(kw, match):
+    # and values of the wrong type, each through every way a config is built
+    with pytest.raises(ConfigError, match=match):
         PipelineConfig(**kw)
-    with pytest.raises(ConfigError, match="must be finite"):
+    with pytest.raises(ConfigError, match=match):
+        PipelineConfig.from_dict(kw)
+    with pytest.raises(ConfigError, match=match):
         BackgroundModel(2, 2, **kw)
 
 
