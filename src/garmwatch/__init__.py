@@ -2,10 +2,10 @@
 
 The pipeline turns a frame stream into per-frame garment detections:
 adaptive mixture-of-Gaussians background subtraction isolates new pixels,
-color band masks pick out garment hues, morphological closing and contour
-tracing shape them into regions, nearby regions cluster into garments,
-and regions worn by detected persons are dropped.  Companion modules
-score detections against ground truth (IoU, precision, recall, threshold
+color band masks pick out garment hues, closing and 8-connected labelling
+shape them into regions, nearby regions cluster into garments, and
+regions worn by detected persons are dropped.  Companion modules score
+detections against ground truth (IoU, precision, recall, threshold
 curves) and synthesize test scenes with exact ground truth.
 """
 
@@ -19,7 +19,7 @@ from .errors import (ConfigError, FormatError, GarmwatchError, ParseError,
 from .frameio import Annotation, BoundingBox, Detection, Frame, PersonBoxes
 from .metrics import EvalCounts, EvalReport, evaluate, iou, match_frame, pr_curve
 from .pipeline import Pipeline, iter_sequence, process_sequence
-from .regions import Contour, binarize, close, filter_small, trace_contours
+from .regions import Contour, Region, binarize, close, components, filter_small, trace_contours
 from .synth import SceneObject, ScenePerson, SceneSpec, generate, generate_frames, warmup_prefix
 
 __version__ = "0.1.0"
@@ -28,10 +28,10 @@ __all__ = [
     "Annotation", "BackgroundModel", "BoundingBox", "ColorBand", "ConfigError",
     "Contour", "DEFAULT_BANDS", "Detection", "EvalCounts", "EvalReport",
     "FormatError", "Frame", "GarmwatchError", "ParseError", "PersonBoxes",
-    "Pipeline", "PipelineConfig", "RegionCluster", "SceneError", "SceneObject",
+    "Pipeline", "PipelineConfig", "Region", "RegionCluster", "SceneError", "SceneObject",
     "ScenePerson", "SceneSpec", "SequenceError", "ShapeError", "StreamError",
     "ValidationError", "apply_mask", "binarize", "box_gap", "close",
-    "cluster_contours", "color_mask", "evaluate", "exclude_persons",
+    "cluster_contours", "color_mask", "components", "evaluate", "exclude_persons",
     "filter_small", "generate", "generate_frames", "iou", "iter_sequence",
     "masked_to_gray", "match_frame", "pr_curve", "process_sequence",
     "rgb_to_hsv", "to_detections", "trace_contours", "warmup_prefix",

@@ -1,6 +1,6 @@
-"""Grouping of contours into garment regions.
+"""Grouping of regions into garment clusters.
 
-Contours from one color plane are linked whenever the Euclidean gap
+Regions from one color plane are linked whenever the Euclidean gap
 between their bounding boxes is at or below a threshold; the connected
 components of that link graph are the region clusters (single linkage).
 Clusters mostly covered by a person bounding box are discarded, since a
@@ -17,14 +17,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .frameio import BoundingBox, Detection, PersonBoxes
-from .regions import Contour
+from .regions import Region
 
 
 @dataclass
 class RegionCluster:
-    """A maximal set of mutually-nearby contours from one color band."""
+    """A maximal set of mutually-nearby regions from one color band."""
 
-    members: list[Contour]
+    members: list[Region]
     bbox: BoundingBox
     color_label: str
     total_area: int
@@ -60,26 +60,26 @@ def box_gap(a: BoundingBox, b: BoundingBox) -> float:
     return math.hypot(dx, dy)
 
 
-def cluster_contours(contours: list[Contour], color_label: str,
+def cluster_contours(regions: list[Region], color_label: str,
                      gap_threshold: float) -> list[RegionCluster]:
-    """Single-linkage grouping of contours by bounding-box gap.
+    """Single-linkage grouping of regions by bounding-box gap.
 
-    Two contours land in the same cluster iff they are connected through
+    Two regions land in the same cluster iff they are connected through
     pairs whose box gap is <= gap_threshold.  Output ordered by
     (bbox.y, bbox.x).
     """
     if gap_threshold < 0:
         raise ValidationError(f"gap_threshold must be >= 0, got {gap_threshold}")
-    if not contours:
+    if not regions:
         return []
-    uf = UnionFind(len(contours))
-    for i in range(len(contours)):
-        for j in range(i + 1, len(contours)):
-            if box_gap(contours[i].bbox, contours[j].bbox) <= gap_threshold:
+    uf = UnionFind(len(regions))
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            if box_gap(regions[i].bbox, regions[j].bbox) <= gap_threshold:
                 uf.union(i, j)
-    groups: dict[int, list[Contour]] = {}
-    for i, contour in enumerate(contours):
-        groups.setdefault(uf.find(i), []).append(contour)
+    groups: dict[int, list[Region]] = {}
+    for i, region in enumerate(regions):
+        groups.setdefault(uf.find(i), []).append(region)
     clusters = []
     for members in groups.values():
         bbox = members[0].bbox

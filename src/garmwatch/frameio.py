@@ -258,7 +258,13 @@ def _read_raw(f: IO[bytes], name: str) -> Iterator[Frame]:
     frame_size = width * height * 3
     received = 0
     for i in range(nframes):
-        data = f.read(frame_size)
+        # Bounded reads: a header cannot make one read allocate more than
+        # the source delivers, seekable or not.
+        parts, want = [], frame_size
+        while want and (part := f.read(min(want, 1 << 24))):
+            parts.append(part)
+            want -= len(part)
+        data = b"".join(parts)
         received += len(data)
         if len(data) != frame_size:
             raise StreamError(expected=nframes * frame_size, got=received)
@@ -299,7 +305,7 @@ def write_raw_stream(frames: Iterable[Frame], sink: str | os.PathLike | IO[bytes
 def _box_from_json(obj: dict, lineno: int) -> BoundingBox:
     try:
         x, y, w, h = int(obj["x"]), int(obj["y"]), int(obj["w"]), int(obj["h"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError(f"line {lineno}: box record must carry integer x, y, w, h") from None
     if w < 1 or h < 1:
         raise ValidationError(f"line {lineno}: box extent must be positive, got {w}x{h}")
@@ -320,13 +326,15 @@ def _iter_records(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
                 raise ParseError(f"line {lineno}: {e.msg}") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"line {lineno}: expected a JSON object")
+            if not all(isinstance(obj.get(k, []), list) for k in ("boxes", "persons")):
+                raise ParseError(f"line {lineno}: 'boxes' and 'persons' must be lists")
             yield lineno, obj
 
 
 def _check_frame_field(obj: dict, lineno: int, last: int) -> int:
     try:
         idx = int(obj["frame"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError(f"line {lineno}: missing integer 'frame' field") from None
     if idx < 0:
         raise ValidationError(f"line {lineno}: frame index must be >= 0")
@@ -377,7 +385,7 @@ def read_detections(path: str | os.PathLike) -> list[Detection]:
             try:
                 color = str(raw["color"])
                 score = float(raw["score"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ParseError(f"line {lineno}: detection box needs color and score") from None
             if not 0.0 <= score <= 1.0:
                 raise ValidationError(f"line {lineno}: score {score} outside [0, 1]")

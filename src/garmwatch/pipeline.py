@@ -3,11 +3,11 @@
 Per frame the stages run in a fixed order: the background model classifies
 and updates, and one pass over the foreground pixels builds each configured
 color band's mask of pixels inside the band and above the binarize
-threshold.  Each mask is closed, contours are traced, small ones dropped,
-the rest clustered by bounding-box gap, clusters under person boxes
-discarded, and the survivors emitted as Detections.  No detections
-are emitted during the warmup span while the model absorbs the static
-scene, but the model still updates on those frames.
+threshold.  Each mask is closed and labelled into regions (box and pixel
+count), small ones dropped, the rest clustered by bounding-box gap,
+clusters under person boxes discarded, and the survivors emitted as
+Detections.  No detections are emitted during the warmup span while the
+model absorbs the static scene, but the model still updates on it.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class Pipeline:
         frame_area = frame.width * frame.height
         masks = colorseg.band_masks(frame, fg_mask, cfg.bands, cfg.binarize_threshold)
         for band, mask in zip(cfg.bands, masks):
-            contours = regions.filter_small(
-                regions.trace_contours(regions.close(mask, cfg.se_size)), self.min_area)
-            clusters = cluster.cluster_contours(contours, band.label, self.gap_threshold)
+            found = regions.filter_small(
+                regions.components(regions.close(mask, cfg.se_size)), self.min_area)
+            clusters = cluster.cluster_contours(found, band.label, self.gap_threshold)
             clusters = cluster.exclude_persons(clusters, persons, cfg.containment_min)
             detections.extend(cluster.to_detections(clusters, frame.index, frame_area))
         return detections

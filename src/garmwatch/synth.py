@@ -84,8 +84,8 @@ def _validate(spec: SceneSpec) -> None:
         raise SceneError(f"scene must be at least 1x1, got {spec.width}x{spec.height}")
     if spec.nframes < 0:
         raise SceneError(f"nframes must be >= 0, got {spec.nframes}")
-    if spec.noise_sigma < 0:
-        raise SceneError(f"noise_sigma must be >= 0, got {spec.noise_sigma}")
+    if not 0 <= spec.noise_sigma < np.inf:
+        raise SceneError(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
     if isinstance(spec.background, str) and spec.background != TEXTURE:
         raise SceneError(f"background must be an RGB triple or {TEXTURE!r}")
     for kind, items in (("object", spec.objects), ("person", spec.persons)):
@@ -152,19 +152,21 @@ def generate_frames(spec: SceneSpec):
 
 
 def generate(spec: SceneSpec, out_dir, gt_path, persons_path=None) -> int:
-    """Render the scene to disk; returns the frame count."""
-    frames = []
-    annotations = []
-    persons = []
-    for frame, annotation, person_boxes in generate_frames(spec):
-        frames.append(frame)
-        annotations.append(annotation)
-        persons.append(person_boxes)
-    write_frame_sequence(frames, out_dir)
+    """Render the scene to disk frame by frame; returns the frame count."""
+    _validate(spec)  # before write_frame_sequence creates out_dir
+    annotations, persons = [], []
+
+    def frames():
+        for frame, annotation, person_boxes in generate_frames(spec):
+            annotations.append(annotation)
+            persons.append(person_boxes)
+            yield frame
+
+    count = write_frame_sequence(frames(), out_dir)
     write_annotations(annotations, gt_path)
     if persons_path is not None:
         write_person_boxes(persons, persons_path)
-    return len(frames)
+    return count
 
 
 def warmup_prefix(spec: SceneSpec, warmup_frames: int) -> SceneSpec:

@@ -199,6 +199,29 @@ def test_truncated_stream_exit_1(workspace, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+BIG_SCORE = "1" * 400
+
+
+@pytest.mark.parametrize("name, text", [
+    ("persons.jsonl", '{"frame": 0, "persons": [{"x": 1e400, "y": 0, "w": 1, "h": 1}]}'),
+    ("huge.gwvs", "GWVS1 300000 300000 1 1"),
+    ("huge.gwvs", "GWVS1 100000000000 100000000000 1 1"),
+    ("det.jsonl", '{"frame": 1e400, "boxes": []}'),
+    ("det.jsonl", '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
+                  '"color": "red", "score": ' + "1" * 400 + '}]}'),
+], ids=["persons-x-1e400", "gwvs1-300000", "gwvs1-1e11", "frame-1e400", "score-400-digits"])
+def test_malformed_input_exit_1(workspace, tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text + "\n")
+    frames, out = str(workspace / "frames"), str(tmp_path / "out.jsonl")
+    argv = {"persons.jsonl": ["detect", "--frames", frames, "--persons", str(bad), "--out", out],
+            "huge.gwvs": ["detect", "--frames", str(bad), "--out", out],
+            "det.jsonl": ["eval", "--det", str(bad), "--gt", str(workspace / "gt.jsonl")]}
+    assert main(argv[name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_eval_input_exit_1(workspace, tmp_path, capsys):
     rc = main(["eval", "--det", str(tmp_path / "nope.jsonl"),
                "--gt", str(workspace / "gt.jsonl")])

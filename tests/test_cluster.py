@@ -5,11 +5,11 @@ import pytest
 
 from garmwatch import (BoundingBox, PersonBoxes, ValidationError, box_gap,
                        cluster_contours, exclude_persons, to_detections)
-from garmwatch.regions import Contour
+from garmwatch.regions import Region
 
 
 def contour_at(x, y, w, h, area=None):
-    return Contour([(x, y)], BoundingBox(x, y, w, h), area or (w * h))
+    return Region(BoundingBox(x, y, w, h), area or (w * h))
 
 
 def random_box(rng, span=30, max_side=8):
@@ -121,7 +121,7 @@ def test_negative_threshold_rejected():
 def test_clusters_match_bfs_oracle():
     rng = np.random.default_rng(22)
     for trial in range(50):
-        contours = [Contour([(0, 0)], random_box(rng), 1)
+        contours = [Region(random_box(rng), 1)
                     for _ in range(int(rng.integers(1, 12)))]
         threshold = float(rng.integers(0, 15))
         clusters = cluster_contours(contours, "blue", threshold)
@@ -132,7 +132,7 @@ def test_clusters_match_bfs_oracle():
 
 def test_every_contour_in_exactly_one_cluster():
     rng = np.random.default_rng(23)
-    contours = [Contour([(0, 0)], random_box(rng), 1) for _ in range(15)]
+    contours = [Region(random_box(rng), 1) for _ in range(15)]
     clusters = cluster_contours(contours, "red", 6.0)
     seen = [m for cl in clusters for m in cl.members]
     assert len(seen) == len(contours)
@@ -142,7 +142,7 @@ def test_every_contour_in_exactly_one_cluster():
 def test_cluster_count_monotone_in_threshold():
     rng = np.random.default_rng(24)
     for _ in range(20):
-        contours = [Contour([(0, 0)], random_box(rng), 1) for _ in range(10)]
+        contours = [Region(random_box(rng), 1) for _ in range(10)]
         counts = [len(cluster_contours(contours, "red", t))
                   for t in (0.0, 2.0, 5.0, 10.0, 20.0, 50.0)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -150,7 +150,7 @@ def test_cluster_count_monotone_in_threshold():
 
 def test_cluster_bbox_is_minimal_cover():
     rng = np.random.default_rng(25)
-    contours = [Contour([(0, 0)], random_box(rng), 1) for _ in range(12)]
+    contours = [Region(random_box(rng), 1) for _ in range(12)]
     for cl in cluster_contours(contours, "red", 8.0):
         xs = [m.bbox.x for m in cl.members]
         ys = [m.bbox.y for m in cl.members]
@@ -173,7 +173,7 @@ def rasterized_coverage(bbox, boxes, span=64):
 
 def make_cluster(bbox, label="red"):
     from garmwatch.cluster import RegionCluster
-    c = Contour([(bbox.x, bbox.y)], bbox, bbox.area)
+    c = Region(bbox, bbox.area)
     return RegionCluster([c], bbox, label, bbox.area)
 
 

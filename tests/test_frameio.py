@@ -165,6 +165,38 @@ def test_raw_stream_truncation_reports_counts():
     assert "expected 24" in str(exc.value)
 
 
+class ReadOnly:
+    """A pipe-like source: read() and nothing else."""
+
+    def __init__(self, data):
+        self.read = io.BytesIO(data).read
+
+
+@pytest.mark.parametrize("header", [b"GWVS1 300000 300000 1 1\n",
+                                    b"GWVS1 100000000000 100000000000 1 1\n"],
+                         ids=["300000", "1e11"])
+def test_raw_stream_rejects_frames_larger_than_source(header, tmp_path):
+    path = tmp_path / "huge.gwvs"
+    path.write_bytes(header)
+    for source in (io.BytesIO(header), ReadOnly(header), path):
+        with pytest.raises(StreamError) as exc:
+            list(frameio.read_raw_stream(source))
+        assert exc.value.got == 0
+
+
+def test_raw_stream_frame_larger_than_one_read():
+    # 2400x2400 RGB is just over the 16 MiB read chunk, so the frame
+    # arrives in two parts from a source that cannot seek.
+    pixels = (np.arange(2400 * 2400 * 3) % 251).astype(np.uint8).reshape(2400, 2400, 3)
+    buf = io.BytesIO()
+    frameio.write_raw_stream([Frame(0, pixels)], buf)
+    (frame,) = frameio.read_raw_stream(ReadOnly(buf.getvalue()))
+    assert np.array_equal(frame.pixels, pixels)
+    with pytest.raises(StreamError) as exc:
+        list(frameio.read_raw_stream(ReadOnly(buf.getvalue()[:-1])))
+    assert exc.value.got == pixels.size - 1
+
+
 def test_raw_stream_rejects_mixed_sizes():
     frames = [Frame(0, np.zeros((2, 2, 3), np.uint8)),
               Frame(1, np.zeros((3, 2, 3), np.uint8))]
@@ -236,6 +268,24 @@ def test_detections_reject_bad_score(tmp_path):
                     '[{"x": 1, "y": 1, "w": 5, "h": 5, "color": "red", "score": 1.5}]}\n')
     with pytest.raises(ValidationError):
         frameio.read_detections(path)
+
+
+@pytest.mark.parametrize("reader, text", [
+    (frameio.read_annotations, '{"frame": 0, "boxes": [{"x": 1e400, "y": 0, "w": 1, "h": 1}]}'),
+    (frameio.read_person_boxes,
+     '{"frame": 0, "persons": [{"x": 1e400, "y": 0, "w": 1, "h": 1}]}'),
+    (frameio.read_annotations, '{"frame": 1e400, "boxes": []}'),
+    (frameio.read_detections, '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
+                              '"color": "red", "score": ' + "1" * 400 + '}]}'),
+    (frameio.read_annotations, '{"frame": 0, "boxes": null}'),
+    (frameio.read_person_boxes, '{"frame": 0, "persons": 5}'),
+], ids=["box-x-1e400", "person-x-1e400", "frame-1e400", "score-400-digits",
+        "boxes-null", "persons-number"])
+def test_records_reject_unusable_fields(tmp_path, reader, text):
+    path = tmp_path / "records.jsonl"
+    path.write_text(text + "\n")
+    with pytest.raises(ParseError, match="line 1"):
+        reader(path)
 
 
 def test_detections_readable_as_annotations(tmp_path):

@@ -2,9 +2,13 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
-from garmwatch import ValidationError, binarize, close, filter_small, trace_contours
-from garmwatch.regions import Contour
+from garmwatch import (Region, ValidationError, binarize, close, components, filter_small,
+                       trace_contours)
 from garmwatch.frameio import BoundingBox
 
 
@@ -92,8 +96,37 @@ def test_close_preserves_border_foreground():
     assert np.all(closed >= mask)
 
 
+@st.composite
+def masks(draw):
+    """Bool masks of 1..24 per side, 1xN and Nx1 included, with all-False
+    and all-True drawn as often as random fills."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    return draw(st.one_of(st.just(np.zeros((h, w), bool)), st.just(np.ones((h, w), bool)),
+                          hnp.arrays(bool, (h, w))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks(), st.sampled_from([3, 5, 7, 9]))
+def test_close_matches_binary_morphology(mask, se):
+    # Oracle: dilation with a background border, then erosion with a
+    # foreground border, both with the full se x se structuring element.
+    s = np.ones((se, se), bool)
+    want = ndimage.binary_erosion(ndimage.binary_dilation(mask, s, border_value=0),
+                                  s, border_value=1)
+    got = close(mask, se)
+    assert got.dtype == bool and got.shape == mask.shape
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
-# trace_contours
+# components and trace_contours
+
+@settings(max_examples=300, deadline=None)
+@given(masks())
+def test_components_match_trace_contours(mask):
+    got = [(r.bbox, r.area) for r in components(mask)]
+    assert got == [(c.bbox, c.area) for c in trace_contours(mask)]
+
 
 def test_single_pixel_contour():
     mask = np.zeros((6, 8), bool)
@@ -190,17 +223,17 @@ def test_trace_is_deterministic():
 # ---------------------------------------------------------------------------
 # filter_small
 
-def make_contour(area):
-    return Contour([(0, 0)], BoundingBox(0, 0, 1, 1), area)
+def make_region(area):
+    return Region(BoundingBox(0, 0, 1, 1), area)
 
 
 def test_filter_small_zero_floor_is_identity():
-    contours = [make_contour(a) for a in (1, 5, 9)]
+    contours = [make_region(a) for a in (1, 5, 9)]
     assert filter_small(contours, 0) == contours
 
 
 def test_filter_small_keeps_large():
-    contours = [make_contour(a) for a in (4, 400, 1000)]
+    contours = [make_region(a) for a in (4, 400, 1000)]
     kept = filter_small(contours, 400)
     assert [c.area for c in kept] == [400, 1000]
 
@@ -209,7 +242,7 @@ def test_filter_small_against_brute_force():
     rng = np.random.default_rng(19)
     for _ in range(50):
         areas = rng.integers(1, 500, size=8)
-        contours = [make_contour(int(a)) for a in areas]
+        contours = [make_region(int(a)) for a in areas]
         floor = float(rng.integers(0, 500))
         kept = filter_small(contours, floor)
         assert kept == [c for c in contours if c.area >= floor]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,20 @@ def test_generate_byte_identical_reruns(tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
+def test_generate_streams_frames(tmp_path):
+    # Frames go to disk as they are rendered: peak memory stays a few
+    # frames, not the whole sequence.
+    spec = SceneSpec(160, 120, 40, background="texture", seed=7,
+                     objects=[SceneObject((200, 0, 0), (20, 20), (0, 0), velocity=(3, 2))])
+    tracemalloc.start()
+    try:
+        assert generate(spec, tmp_path / "frames", tmp_path / "gt.jsonl") == 40
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 160 * 120 * 3
+
+
 # ---------------------------------------------------------------------------
 # warmup_prefix
 
@@ -234,3 +250,7 @@ def test_scene_mapping_errors():
         scene_from_mapping({"width": "10", "height": "10", "nframes": "1",
                             "object.1.color": "1 2 3", "object.1.size": "2 2",
                             "object.1.start": "0 0", "object.1.spin": "5"})
+    for sigma in ("nan", "inf"):
+        with pytest.raises(SceneError, match="noise_sigma must be finite"):
+            render(scene_from_mapping({"width": "10", "height": "10", "nframes": "1",
+                                       "noise_sigma": sigma}))
