@@ -17,11 +17,15 @@ Matched components move toward the sample with gain rho = eta / w (using
 the freshly bumped weight); an unmatched sample enters at weight eta,
 replacing the lowest-weight component, or occupying a free slot while any
 remain.  Components are never deleted.  The whole update is deterministic.
+
+No pixel reads another's mixture, so pixels are updated in parallel row
+strips, one per usable CPU; the result does not depend on the strip count.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +82,10 @@ class BackgroundModel:
         self.weight[0] = 1.0
         self.variance[0] = self.var_init
         self.ncomp = np.ones(n, dtype=np.int64)
+        # row strips run in parallel because numpy releases the GIL
+        self._strips = min(len(os.sched_getaffinity(0)), height)
+        self._pool = (ThreadPoolExecutor(self._strips - 1, "garmwatch-bgsub")
+                      if self._strips > 1 else None)
 
     def _check_frame(self, frame: Frame) -> None:
         if (frame.width, frame.height) != (self.width, self.height):
@@ -92,25 +100,44 @@ class BackgroundModel:
         True = foreground.
         """
         self._check_frame(frame)
+        pixels = frame.pixels.reshape(-1, 3)
+        fg = np.empty(len(pixels), dtype=bool)
+        cuts = self.width * (self.height * np.arange(self._strips + 1) // self._strips)
+        futures = [self._pool.submit(self._update_span, pixels, fg, lo, hi)
+                   for lo, hi in zip(cuts[:-2], cuts[1:-1])]
+        try:
+            self._update_span(pixels, fg, cuts[-2], cuts[-1])
+        finally:
+            wait(futures)  # no strip may still write the state after update
+        for future in futures:
+            future.result()
+        self.frames_seen += 1
+        return fg.reshape(self.height, self.width)
+
+    def _update_span(self, pixels: np.ndarray, fg: np.ndarray, lo: int, hi: int) -> None:
+        """Classify and update pixels lo..hi-1 into fg[lo:hi], touching only
+        their columns of the state, so spans never share a write."""
         eta = self.learning_rate
-        m, n = self.weight.shape
-        x = frame.pixels.reshape(n, 3).astype(np.float64)
+        weight, mean, variance = (a[:, lo:hi] for a in (self.weight, self.mean, self.variance))
+        ncomp = self.ncomp[lo:hi]
+        m, n = weight.shape
+        x = pixels[lo:hi].astype(np.float64)
 
         # slots at or past ncomp carry weight exactly 0 and are masked out,
         # so every read can stop at the widest live prefix
-        kmax = int(self.ncomp.max())
+        kmax = int(ncomp.max())
         d2 = np.empty((kmax, n))
         diff = np.empty_like(x)
         for k in range(kmax):
-            np.subtract(x, self.mean[k], out=diff)
+            np.subtract(x, mean[k], out=diff)
             d2[k] = np.einsum("nc,nc->n", diff, diff)
-        matched = d2 <= 3.0 * self.match_threshold ** 2 * self.variance[:kmax]
-        if int(self.ncomp.min()) < kmax:
-            matched &= np.arange(kmax)[:, None] < self.ncomp
+        matched = d2 <= 3.0 * self.match_threshold ** 2 * variance[:kmax]
+        if int(ncomp.min()) < kmax:
+            matched &= np.arange(kmax)[:, None] < ncomp
 
         # dead slots are already excluded through matched, so the prefix
         # test needs no live-slot mask of its own
-        wpre = self.weight[:kmax]
+        wpre = weight[:kmax]
         before = np.empty_like(wpre)
         before[0] = 0.0
         np.cumsum(wpre[:-1], axis=0, out=before[1:])
@@ -134,42 +161,44 @@ class BackgroundModel:
             kept = wpre[:, missed]
             np.multiply(wpre, 1.0 - eta, out=wpre)
             wpre[:, missed] = kept
-            w_new = self.weight[closest, rows] + eta
-            self.weight[closest, rows] = w_new
+            w_new = weight[closest, rows] + eta
+            weight[closest, rows] = w_new
             rho = eta / w_new
-            delta = (x if rows.size == n else x[rows]) - self.mean[closest, rows]
-            self.mean[closest, rows] += rho[:, None] * delta
-            v = self.variance[closest, rows]
+            delta = (x if rows.size == n else x[rows]) - mean[closest, rows]
+            mean[closest, rows] += rho[:, None] * delta
+            v = variance[closest, rows]
             v = v + rho * (np.einsum("nc,nc->n", delta, delta) / 3.0 - v)
-            self.variance[closest, rows] = np.clip(v, self.var_min, self.var_max)
+            variance[closest, rows] = np.clip(v, self.var_min, self.var_max)
 
         if missed.size:
-            nc = self.ncomp[missed]
+            nc = ncomp[missed]
             slot = np.where(nc < m, nc, m - 1)
-            self.weight[slot, missed] = eta
-            self.mean[slot, missed] = x[missed]
-            self.variance[slot, missed] = self.var_init
-            self.ncomp[missed] = np.minimum(nc + 1, m)
-            self.weight[:, missed] /= self.weight[:, missed].sum(axis=0,
-                                                                 keepdims=True)
-            kmax = int(self.ncomp.max())
+            weight[slot, missed] = eta
+            mean[slot, missed] = x[missed]
+            variance[slot, missed] = self.var_init
+            ncomp[missed] = np.minimum(nc + 1, m)
+            weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
+            kmax = int(ncomp.max())
 
         # only a weight bump or a fresh component can break the descending
         # order, so sort just the pixels where it actually broke
         if kmax > 1:
-            wpre = self.weight[:kmax]
+            wpre = weight[:kmax]
             unsorted = np.flatnonzero((wpre[1:] > wpre[:-1]).any(axis=0))
             if unsorted.size:
-                w = self.weight[:kmax, unsorted]
+                w = weight[:kmax, unsorted]
                 order = np.argsort(-w, axis=0, kind="stable")
-                self.weight[:kmax, unsorted] = np.take_along_axis(w, order, axis=0)
-                self.variance[:kmax, unsorted] = np.take_along_axis(
-                    self.variance[:kmax, unsorted], order, axis=0)
-                self.mean[:kmax, unsorted] = np.take_along_axis(
-                    self.mean[:kmax, unsorted], order[:, :, None], axis=0)
+                weight[:kmax, unsorted] = np.take_along_axis(w, order, axis=0)
+                variance[:kmax, unsorted] = np.take_along_axis(
+                    variance[:kmax, unsorted], order, axis=0)
+                mean[:kmax, unsorted] = np.take_along_axis(
+                    mean[:kmax, unsorted], order[:, :, None], axis=0)
+        fg[lo:hi] = ~bg
 
-        self.frames_seen += 1
-        return (~bg).reshape(self.height, self.width)
+    def close(self) -> None:
+        """Shut down the strip threads; call once the model is done."""
+        if self._pool is not None:
+            self._pool.shutdown()
 
     def likelihood(self, x, px: tuple[int, int]) -> float:
         """Mixture density at RGB value x for the pixel at (x, y) = px."""

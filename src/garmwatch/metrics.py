@@ -16,6 +16,7 @@ over matched pairs only; unmatched ground truths do not contribute zeros.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -44,6 +45,24 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _candidates(dets: list[BoundingBox], gts: list[BoundingBox]) -> list[tuple]:
+    """Overlapping pairs as (-iou, det index, gt index), sorted: for any
+    tau > 0 the pairs with IoU >= tau are a prefix."""
+    return sorted((-v, di, gi) for di, d in enumerate(dets) for gi, g in enumerate(gts)
+                  if (v := iou(d, g)) > 0.0)
+
+
+def _greedy(pairs: list[tuple], tau: float) -> list[float]:
+    """IoUs of the pairs greedy matching takes from the IoU >= tau prefix."""
+    det_used, gt_used, matched_ious = set(), set(), []
+    for neg_v, di, gi in pairs[:bisect_right(pairs, -tau, key=lambda p: p[0])]:
+        if di not in det_used and gi not in gt_used:
+            det_used.add(di)
+            gt_used.add(gi)
+            matched_ious.append(-neg_v)
+    return matched_ious
+
+
 def match_frame(dets: list[BoundingBox], gts: list[BoundingBox],
                 tau: float) -> tuple[EvalCounts, list[float]]:
     """Greedy one-to-one matching of one frame's boxes.
@@ -55,22 +74,7 @@ def match_frame(dets: list[BoundingBox], gts: list[BoundingBox],
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
-    pairs = []
-    for di, d in enumerate(dets):
-        for gi, g in enumerate(gts):
-            v = iou(d, g)
-            if v >= tau:
-                pairs.append((-v, di, gi))
-    pairs.sort()
-    det_used = [False] * len(dets)
-    gt_used = [False] * len(gts)
-    matched_ious = []
-    for neg_v, di, gi in pairs:
-        if det_used[di] or gt_used[gi]:
-            continue
-        det_used[di] = True
-        gt_used[gi] = True
-        matched_ious.append(-neg_v)
+    matched_ious = _greedy(_candidates(dets, gts), tau)
     tp = len(matched_ious)
     return EvalCounts(tp, len(dets) - tp, len(gts) - tp), matched_ious
 
@@ -102,6 +106,8 @@ def evaluate(detections: list[Detection], annotations: list[Annotation],
     Frames present on only one side count with an empty box list for the
     other.
     """
+    if not 0.0 < tau < 1.0:
+        raise ValidationError(f"tau must be in (0, 1), got {tau}")
     tp = fp = fn = 0
     all_ious: list[float] = []
     for det_boxes, gt_boxes in _by_frame(detections, annotations):
@@ -122,17 +128,18 @@ DEFAULT_TAUS = tuple(round(0.05 * i, 10) for i in range(1, 20))
 
 def pr_curve(detections: list[Detection], annotations: list[Annotation],
              taus=DEFAULT_TAUS) -> list[tuple[float, float, float]]:
-    """Evaluate at each threshold; rows are (tau, precision, recall)."""
+    """Evaluate at each threshold, computing every IoU once; rows are
+    (tau, precision, recall)."""
     taus = list(taus)
     if any(not 0.0 < t < 1.0 for t in taus):
         raise ValidationError("every tau must be in (0, 1)")
     if taus != sorted(taus):
         raise ValidationError("taus must be sorted ascending")
-    rows = []
-    for tau in taus:
-        report = evaluate(detections, annotations, tau)
-        rows.append((tau, report.precision, report.recall))
-    return rows
+    frames = _by_frame(detections, annotations)
+    candidates = [_candidates(dets, gts) for dets, gts in frames]
+    ndet, ngt = len(detections), sum(len(gts) for _, gts in frames)
+    tps = (sum(len(_greedy(pairs, tau)) for pairs in candidates) for tau in taus)
+    return [(tau, _ratio(tp, ndet, ngt), _ratio(tp, ngt, ndet)) for tau, tp in zip(taus, tps)]
 
 
 def format_summary(report: EvalReport) -> str:

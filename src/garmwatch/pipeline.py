@@ -45,6 +45,10 @@ class Pipeline:
             detections.extend(cluster.to_detections(clusters, frame.index, frame_area))
         return detections
 
+    def close(self) -> None:
+        """Release the background model's threads."""
+        self.model.close()
+
 
 def iter_sequence(frames: Iterable[Frame],
                   persons: Iterable[PersonBoxes] | None = None,
@@ -52,17 +56,22 @@ def iter_sequence(frames: Iterable[Frame],
     """Run the pipeline over a frame stream, yielding (frame, detections).
 
     persons, when given, is matched to frames by index; frames without a
-    sidecar entry get no person filtering.
+    sidecar entry get no person filtering.  The pipeline is closed when the
+    stream ends, fails or the iterator is closed.
     """
     sidecar = {}
     if persons is not None:
         for record in persons:
             sidecar[record.frame_index] = record
     pipeline = None
-    for frame in frames:
-        if pipeline is None:
-            pipeline = Pipeline(frame.width, frame.height, config)
-        yield frame, pipeline.process_frame(frame, sidecar.get(frame.index))
+    try:
+        for frame in frames:
+            if pipeline is None:
+                pipeline = Pipeline(frame.width, frame.height, config)
+            yield frame, pipeline.process_frame(frame, sidecar.get(frame.index))
+    finally:
+        if pipeline is not None:
+            pipeline.close()
 
 
 def process_sequence(frames: Iterable[Frame],

@@ -1,8 +1,12 @@
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
 from garmwatch import (BackgroundModel, ConfigError, Frame, PipelineConfig, ShapeError,
@@ -248,6 +252,88 @@ def test_closest_match_tie_takes_lowest_slot():
     # equidistant: slot 0 must take the sample
     assert m.mean[0, 0, 0] != 100.0
     assert m.mean[1, 0, 0] == 140.0
+
+
+# ---------------------------------------------------------------------------
+# Whole frames, cut into row strips, against the per-pixel recurrence
+
+# far enough apart that a fresh model appends a component for each colour,
+# and more of them than max_components, so full pixels replace
+PALETTE = np.array([(0, 0, 0), (200, 30, 30), (30, 200, 30), (30, 30, 200),
+                    (255, 255, 255), (128, 128, 128), (200, 200, 0), (60, 60, 60)])
+
+
+def palette_frames(script, seed):
+    """Frames whose pixel (y, x) shows colour script[t, y, x] at frame t,
+    jittered by up to 4 per channel so matches move means and variances."""
+    jitter = np.random.default_rng(seed).integers(-4, 5, size=script.shape + (3,))
+    pixels = np.clip(PALETTE[script] + jitter, 0, 255).astype(np.uint8)
+    return [Frame(i, p) for i, p in enumerate(pixels)]
+
+
+def strip_model(strips, width, height, **overrides):
+    """A model built as on a host with `strips` usable CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(strips)))
+        return BackgroundModel(width, height, **overrides)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_pixel_matches_reference_recurrence(data):
+    w, h = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 7))
+    script = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 20)), h, w),
+                                  elements=st.integers(0, len(PALETTE) - 1)))
+    frames = palette_frames(script, data.draw(st.integers(0, 2**32 - 1)))
+    m = strip_model(3, w, h, history_length=20)
+    params = dict(eta=m.learning_rate, k=m.match_threshold, cf=m.background_fraction,
+                  mmax=m.max_components, var_init=m.var_init, var_min=m.var_min,
+                  var_max=m.var_max, w_init=m.learning_rate)
+    comps = [[[1.0, (0.0, 0.0, 0.0), m.var_init]] for _ in range(w * h)]
+    try:
+        for frame in frames:
+            fg = m.update(frame).ravel()
+            for i, x in enumerate(frame.pixels.reshape(-1, 3)):
+                want_fg, comps[i] = reference_update(comps[i], x, **params)
+                assert fg[i] == want_fg, f"frame {frame.index} pixel {i}"
+                live = len(comps[i])
+                assert m.ncomp[i] == live
+                assert np.all(m.weight[live:, i] == 0.0)
+                want_w, want_mean, want_var = (np.array(c) for c in zip(*comps[i]))
+                np.testing.assert_allclose(m.weight[:live, i], want_w, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(m.mean[:live, i], want_mean, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(m.variance[:live, i], want_var, rtol=0, atol=1e-9)
+    finally:
+        m.close()
+
+
+def test_strip_count_does_not_change_the_result():
+    w, h = 24, 17
+    script = np.random.default_rng(12).integers(0, len(PALETTE), size=(40, h, w))
+    frames = palette_frames(script, 12)
+
+    def run(strips):
+        m = strip_model(strips, w, h, history_length=20)
+        assert m._strips == strips
+        try:
+            masks = [m.update(f) for f in frames]
+        finally:
+            m.close()
+        return masks, (m.weight, m.mean, m.variance, m.ncomp)
+
+    want_masks, want_state = run(1)
+    # the script fills pixels to capacity and leaves both background and foreground
+    assert want_state[3].max() == 5 and want_masks[-1].any() and not want_masks[-1].all()
+    old = sys.getswitchinterval()
+    try:
+        for strips in (2, 3, 17, 8):
+            if strips == 8:
+                sys.setswitchinterval(1e-6)
+            masks, state = run(strips)
+            assert all(np.array_equal(a, b) for a, b in zip(masks, want_masks)), strips
+            assert all(np.array_equal(a, b) for a, b in zip(state, want_state)), strips
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------------------

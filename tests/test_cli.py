@@ -222,6 +222,15 @@ def test_malformed_input_exit_1(workspace, tmp_path, capsys, name, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tau", ["1.5", "nan", "-3"])
+def test_eval_bad_tau_without_boxes_exit_1(tmp_path, capsys, tau):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["eval", "--det", str(empty), "--gt", str(empty), "--tau", tau]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_eval_input_exit_1(workspace, tmp_path, capsys):
     rc = main(["eval", "--det", str(tmp_path / "nope.jsonl"),
                "--gt", str(workspace / "gt.jsonl")])

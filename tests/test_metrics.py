@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garmwatch import (Annotation, BoundingBox, Detection, ValidationError,
                        evaluate, iou, match_frame, pr_curve)
@@ -198,6 +200,12 @@ def test_evaluate_empty_both_sides():
     assert report.mean_iou == 0.0
 
 
+@pytest.mark.parametrize("tau", [1.5, float("nan"), -3.0])
+def test_evaluate_rejects_bad_tau_without_boxes(tau):
+    with pytest.raises(ValidationError, match="tau"):
+        evaluate([], [], tau)
+
+
 def test_evaluate_no_detections():
     report = evaluate([], anns_of([(0, [BoundingBox(0, 0, 5, 5)])]), 0.5)
     assert report.precision == 0.0
@@ -255,6 +263,24 @@ def test_curve_monotone_non_increasing():
     recalls = [r for _, _, r in rows]
     assert all(a >= b for a, b in zip(precisions, precisions[1:]))
     assert all(a >= b for a, b in zip(recalls, recalls[1:]))
+
+
+# boxes of 1..4 cells on a small grid overlap often and tie often, with IoUs
+# such as 1/4, 1/3 and 1/2 that the threshold pool hits exactly
+SMALL_BOX = st.builds(BoundingBox, st.integers(0, 6), st.integers(0, 6),
+                      st.integers(1, 4), st.integers(1, 4))
+FRAMES = st.dictionaries(st.integers(0, 4), st.lists(SMALL_BOX, max_size=4), max_size=4)
+TAU = st.sampled_from((1 / 4, 1 / 3, 1 / 2, 2 / 3) + DEFAULT_TAUS) | st.floats(0.01, 0.99)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FRAMES, FRAMES, st.lists(TAU, min_size=1, max_size=6))
+def test_curve_equals_evaluate_at_each_tau(det_frames, gt_frames, taus):
+    dets, anns = dets_of(det_frames.items()), anns_of(gt_frames.items())
+    taus = sorted(taus)
+    want = [(t, evaluate(dets, anns, t).precision, evaluate(dets, anns, t).recall)
+            for t in taus]
+    assert pr_curve(dets, anns, taus) == want
 
 
 def test_curve_rejects_bad_taus():

@@ -1,9 +1,16 @@
+import io
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import garmwatch.pipeline
 from garmwatch import (Frame, Pipeline, PipelineConfig, SceneObject,
-                       ScenePerson, SceneSpec, evaluate, generate_frames,
+                       ScenePerson, SceneSpec, StreamError, evaluate, generate_frames,
                        iter_sequence, process_sequence, warmup_prefix)
+from garmwatch.frameio import read_raw_stream, write_raw_stream
 
 WARMUP = 60
 
@@ -137,3 +144,40 @@ def test_noisy_scene_detections_stay_bounded():
     for d in detections:
         assert 0 <= d.box.x and d.box.x2 <= 160
         assert 0 <= d.box.y and d.box.y2 <= 120
+
+
+def threads_left(before, timeout=5.0):
+    """Threads started since `before` that are still alive after at most timeout s."""
+    deadline = time.monotonic() + timeout
+    while (left := set(threading.enumerate()) - before) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return left
+
+
+def test_no_thread_outlives_its_pipeline(monkeypatch):
+    # two usable CPUs, so a 2-row frame is cut into two strips, one on a thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    kept = []  # keep every pipeline alive, so only closing it stops its thread
+
+    class KeptPipeline(Pipeline):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    monkeypatch.setattr(garmwatch.pipeline, "Pipeline", KeptPipeline)
+    frames = [Frame(i, np.full((2, 8, 3), 40 * i, np.uint8)) for i in range(4)]
+    before = set(threading.enumerate())
+    process_sequence(frames, config=CONFIG)
+    assert not threads_left(before)
+
+    stream = io.BytesIO()
+    write_raw_stream(frames, stream)
+    cut = io.BytesIO(stream.getvalue()[:-5])
+    seen = 0
+    with pytest.raises(StreamError):
+        for _ in iter_sequence(read_raw_stream(cut), config=CONFIG):
+            seen += 1
+            assert set(threading.enumerate()) - before  # the strip thread runs
+    assert seen == 3
+    assert not threads_left(before)
+    assert len(kept) == 2
