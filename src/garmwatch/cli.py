@@ -6,6 +6,12 @@ against ground truth and prints a counts summary; ``curve`` sweeps the IoU
 threshold and writes a tau,precision,recall CSV; ``synth`` renders a
 synthetic scene from a spec file.
 
+``detect`` writes each frame's detections line as the frame is processed,
+into ``<out>.part``, and renames that file onto ``--out`` after the last
+frame; a failed run removes the part file and leaves any earlier ``--out``
+and manifest as they were.  The manifest's ``config`` holds the run's
+config as the flat ``key = value`` pairs that ``--config`` reads.
+
 Exit statuses: 0 success, 1 input or data error, 2 configuration error.
 The pipeline config comes from --config, else from the GW_CONFIG
 environment variable, else built-in defaults.
@@ -92,20 +98,25 @@ def cmd_detect(args) -> int:
         os.makedirs(args.overlay, exist_ok=True)
 
     start = time.monotonic()
-    detections: list[Detection] = []
     nframes = 0
-    for frame, dets in pipeline.iter_sequence(_open_frames(args.frames),
-                                              persons, config):
-        detections.extend(dets)
-        nframes += 1
-        if args.overlay:
-            frameio.write_ppm(_overlay_frame(frame, dets),
-                              os.path.join(args.overlay,
-                                           frameio.frame_filename(frame.index)))
-    frameio.write_detections(detections, args.out)
+    part = args.out + ".part"
+    try:
+        with open(part, "w", encoding="utf-8") as f:
+            for frame, dets in pipeline.iter_sequence(_open_frames(args.frames),
+                                                      persons, config):
+                frameio.write_detections(dets, f)
+                nframes += 1
+                if args.overlay:
+                    frameio.write_ppm(_overlay_frame(frame, dets),
+                                      os.path.join(args.overlay,
+                                                   frameio.frame_filename(frame.index)))
+        os.replace(part, args.out)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
     manifest = {
-        "config": config.to_dict(),
+        "config": config.to_mapping(),
         "inputs": {"frames": args.frames, "persons": args.persons,
                    "config": config_path},
         "outputs": {"detections": args.out, "overlay": args.overlay},

@@ -6,6 +6,7 @@ PipelineConfig field names; color bands arrive as repeated
 ``band.<label>.<field>`` keys with fields hue (comma-separated lo:hi
 degree intervals), sat_min and val_min.  When any band key is present the
 configured table replaces the default one entirely.
+PipelineConfig.to_mapping writes a config back out as these pairs.
 
 min_area and gap_threshold default by resolution: 400 px^2 and 20 px at
 944x576, scaled by the frame-area ratio (linearly for the area floor, by
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .colorseg import DEFAULT_BANDS, ColorBand
 from .errors import ConfigError, ValidationError
@@ -123,38 +124,25 @@ class PipelineConfig:
             return self.gap_threshold
         return 20.0 * math.sqrt((width * height) / REFERENCE_AREA)
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "bands":
-                out["bands"] = [
-                    {"label": b.label,
-                     "hue_ranges": [[lo, hi] for lo, hi in b.hue_ranges],
-                     "sat_min": b.sat_min, "val_min": b.val_min}
-                    for b in self.bands
-                ]
-            else:
-                out[f.name] = getattr(self, f.name)
-        return out
+    def to_mapping(self) -> dict[str, str]:
+        """The flat-file key/value strings that from_mapping turns back into this config.
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        data = dict(data)
-        raw_bands = data.pop("bands", None)
-        known = {f.name for f in fields(cls)} - {"bands"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
-        if raw_bands is not None:
-            try:
-                data["bands"] = tuple(
-                    ColorBand(b["label"],
-                              tuple((float(lo), float(hi)) for lo, hi in b["hue_ranges"]),
-                              **{k: float(b[k]) for k in ("sat_min", "val_min") if k in b})
-                    for b in raw_bands)
-            except (KeyError, TypeError, ValueError, ValidationError) as e:
-                raise ConfigError(f"bad band table: {e}") from None
-        return cls(**data)
+        None fields are left out; integers print as ``str(int(v))`` and
+        reals as ``repr(float(v))``, so numpy scalars print as plain numbers.
+        """
+        out: dict[str, str] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "bands":
+                for b in value:
+                    key = f"band.{b.label}."
+                    out[key + "hue"] = ",".join(f"{float(lo)!r}:{float(hi)!r}"
+                                                for lo, hi in b.hue_ranges)
+                    out[key + "sat_min"] = repr(float(b.sat_min))
+                    out[key + "val_min"] = repr(float(b.val_min))
+            elif value is not None:
+                out[f.name] = str(int(value)) if f.type.startswith("int") else repr(float(value))
+        return out
 
     @classmethod
     def from_mapping(cls, pairs: dict[str, str]) -> "PipelineConfig":
@@ -190,9 +178,6 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "PipelineConfig":
         return cls.from_mapping(read_flat_file(path))
-
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        return replace(self, **kwargs)
 
 
 def _band_from_fields(label: str, bf: dict[str, str]) -> ColorBand:

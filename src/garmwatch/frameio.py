@@ -8,7 +8,10 @@ Readers and writers for the three on-disk surfaces of the pipeline:
   ``GWVS1 <width> <height> <fps> <nframes>`` followed by tightly packed
   RGB frames;
 * JSON Lines box records -- ground-truth annotations, detections and
-  person-box sidecars.
+  person-box sidecars, one record per frame.  All three kinds are read by
+  one parser that makes every check of the format, and written by one
+  writer that emits each line as its record arrives, so a caller can
+  stream records into an open file.
 
 All readers are sequential iterators; distinct open streams share no state.
 """
@@ -19,6 +22,8 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -302,138 +307,109 @@ def write_raw_stream(frames: Iterable[Frame], sink: str | os.PathLike | IO[bytes
 # ---------------------------------------------------------------------------
 # JSON Lines box records
 
-def _box_from_json(obj: dict, lineno: int) -> BoundingBox:
-    try:
-        x, y, w, h = int(obj["x"]), int(obj["y"]), int(obj["w"]), int(obj["h"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ParseError(f"line {lineno}: box record must carry integer x, y, w, h") from None
-    if w < 1 or h < 1:
-        raise ValidationError(f"line {lineno}: box extent must be positive, got {w}x{h}")
-    if x < 0 or y < 0:
-        raise ValidationError(f"line {lineno}: box corner must be non-negative, got ({x},{y})")
-    return BoundingBox(x, y, w, h)
+def _read_records(path: str | os.PathLike, key: str,
+                  scored: bool = False) -> Iterator[tuple[int, list]]:
+    """Yield (frame index, entries of the record's ``key`` list) per JSONL line.
 
-
-def _iter_records(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as f:
+    Every check of the record format is made here, and a failed one names
+    the line.  ``frame`` and a box's x, y, w, h must be JSON integers;
+    frames rise strictly; ``boxes`` and ``persons`` must be lists when
+    present.  A box's ``color`` must be a string and its ``score`` a number
+    in [0, 1] when present, and both are required with ``scored``.  Each
+    entry is a (box, color, score) triple, color and score None when absent.
+    """
+    last = -1
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"line {lineno}: {e.msg}") from None
+            except ValueError as e:  # also bad UTF-8 and over-long integers
+                raise ParseError(f"line {lineno}: {getattr(e, 'msg', e)}") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"line {lineno}: expected a JSON object")
             if not all(isinstance(obj.get(k, []), list) for k in ("boxes", "persons")):
                 raise ParseError(f"line {lineno}: 'boxes' and 'persons' must be lists")
-            yield lineno, obj
+            idx = obj.get("frame")
+            if type(idx) is not int:  # JSON true/false load as bool
+                raise ParseError(f"line {lineno}: missing integer 'frame' field")
+            if idx < 0:
+                raise ValidationError(f"line {lineno}: frame index must be >= 0")
+            if idx <= last:
+                raise ValidationError(f"line {lineno}: frame indices must be strictly increasing")
+            last = idx
+            yield idx, [_box_entry(raw, lineno, scored) for raw in obj.get(key, [])]
 
 
-def _check_frame_field(obj: dict, lineno: int, last: int) -> int:
-    try:
-        idx = int(obj["frame"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ParseError(f"line {lineno}: missing integer 'frame' field") from None
-    if idx < 0:
-        raise ValidationError(f"line {lineno}: frame index must be >= 0")
-    if idx <= last:
-        raise ValidationError(f"line {lineno}: frame indices must be strictly increasing")
-    return idx
+def _box_entry(raw, lineno: int, scored: bool) -> tuple[BoundingBox, str | None, float | None]:
+    if not isinstance(raw, dict) or not all(type(raw.get(k)) is int for k in "xywh"):
+        raise ParseError(f"line {lineno}: box record must carry integer x, y, w, h")
+    x, y, w, h = raw["x"], raw["y"], raw["w"], raw["h"]
+    if w < 1 or h < 1:
+        raise ValidationError(f"line {lineno}: box extent must be positive, got {w}x{h}")
+    if x < 0 or y < 0:
+        raise ValidationError(f"line {lineno}: box corner must be non-negative, got ({x},{y})")
+    color, score = raw.get("color"), raw.get("score")
+    if scored and (color is None or score is None):
+        raise ParseError(f"line {lineno}: detection box needs color and score")
+    if color is not None and not isinstance(color, str):
+        raise ParseError(f"line {lineno}: box color must be a string")
+    if score is not None:
+        if type(score) not in (int, float):
+            raise ParseError(f"line {lineno}: box score must be a number")
+        try:
+            score = float(score)
+        except OverflowError:
+            raise ParseError(f"line {lineno}: box score is too large") from None
+        if not 0.0 <= score <= 1.0:
+            raise ValidationError(f"line {lineno}: score {score} outside [0, 1]")
+    return BoundingBox(x, y, w, h), color, score
 
 
-def read_annotations(path: str | os.PathLike,
-                     frame_size: tuple[int, int] | None = None) -> list[Annotation]:
-    """Read ground-truth (or detection) JSONL into Annotations, sorted by frame.
+def _write_records(records: Iterable[dict], sink: str | os.PathLike | IO[str]) -> None:
+    """Write one compact JSON line per record as each record arrives."""
+    if not hasattr(sink, "write"):
+        with open(sink, "w", encoding="utf-8") as f:
+            _write_records(records, f)
+        return
+    for rec in records:
+        sink.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
-    frame_size, when given as (width, height), bounds-checks every box.
-    """
-    out: list[Annotation] = []
-    last = -1
-    for lineno, obj in _iter_records(path):
-        idx = _check_frame_field(obj, lineno, last)
-        last = idx
-        boxes = []
-        for raw in obj.get("boxes", []):
-            box = _box_from_json(raw, lineno)
-            if frame_size is not None and (box.x2 > frame_size[0] or box.y2 > frame_size[1]):
-                raise ValidationError(
-                    f"line {lineno}: box {box.to_dict()} exceeds frame {frame_size}")
-            boxes.append(box)
-        out.append(Annotation(idx, boxes))
-    return out
+
+def read_annotations(path: str | os.PathLike) -> list[Annotation]:
+    """Read ground-truth (or detection) JSONL into Annotations, sorted by frame."""
+    return [Annotation(idx, [box for box, _, _ in entries])
+            for idx, entries in _read_records(path, "boxes")]
 
 
 def write_annotations(annotations: Iterable[Annotation],
                       sink: str | os.PathLike | IO[str]) -> None:
-    lines = []
-    for ann in annotations:
-        rec = {"frame": ann.frame_index, "boxes": [b.to_dict() for b in ann.boxes]}
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    _write_lines(lines, sink)
+    _write_records(({"frame": a.frame_index, "boxes": [b.to_dict() for b in a.boxes]}
+                    for a in annotations), sink)
 
 
 def read_detections(path: str | os.PathLike) -> list[Detection]:
-    out: list[Detection] = []
-    last = -1
-    for lineno, obj in _iter_records(path):
-        idx = _check_frame_field(obj, lineno, last)
-        last = idx
-        for raw in obj.get("boxes", []):
-            box = _box_from_json(raw, lineno)
-            try:
-                color = str(raw["color"])
-                score = float(raw["score"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise ParseError(f"line {lineno}: detection box needs color and score") from None
-            if not 0.0 <= score <= 1.0:
-                raise ValidationError(f"line {lineno}: score {score} outside [0, 1]")
-            out.append(Detection(idx, box, color, score))
-    return out
+    return [Detection(idx, box, color, score)
+            for idx, entries in _read_records(path, "boxes", scored=True)
+            for box, color, score in entries]
 
 
 def write_detections(detections: Iterable[Detection],
                      sink: str | os.PathLike | IO[str]) -> None:
     """Write detections as JSONL, one line per frame, readable by read_annotations."""
-    dets = sorted(detections, key=lambda d: d.frame_index)  # stable within a frame
-    lines = []
-    i = 0
-    while i < len(dets):
-        j = i
-        while j < len(dets) and dets[j].frame_index == dets[i].frame_index:
-            j += 1
-        boxes = [dict(d.box.to_dict(), color=d.color, score=d.score) for d in dets[i:j]]
-        lines.append(json.dumps({"frame": dets[i].frame_index, "boxes": boxes},
-                                separators=(",", ":")))
-        i = j
-    _write_lines(lines, sink)
+    dets = sorted(detections, key=attrgetter("frame_index"))  # stable within a frame
+    _write_records(({"frame": idx, "boxes": [dict(d.box.to_dict(), color=d.color, score=d.score)
+                                             for d in group]}
+                    for idx, group in groupby(dets, key=attrgetter("frame_index"))), sink)
 
 
 def read_person_boxes(path: str | os.PathLike) -> list[PersonBoxes]:
-    out: list[PersonBoxes] = []
-    last = -1
-    for lineno, obj in _iter_records(path):
-        idx = _check_frame_field(obj, lineno, last)
-        last = idx
-        boxes = [_box_from_json(raw, lineno) for raw in obj.get("persons", [])]
-        out.append(PersonBoxes(idx, boxes))
-    return out
+    return [PersonBoxes(idx, [box for box, _, _ in entries])
+            for idx, entries in _read_records(path, "persons")]
 
 
 def write_person_boxes(records: Iterable[PersonBoxes],
                        sink: str | os.PathLike | IO[str]) -> None:
-    lines = []
-    for rec in records:
-        obj = {"frame": rec.frame_index, "persons": [b.to_dict() for b in rec.boxes]}
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    _write_lines(lines, sink)
-
-
-def _write_lines(lines: list[str], sink: str | os.PathLike | IO[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", encoding="utf-8") as f:
-            f.write(text)
+    _write_records(({"frame": r.frame_index, "persons": [b.to_dict() for b in r.boxes]}
+                    for r in records), sink)

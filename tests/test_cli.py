@@ -86,15 +86,22 @@ def test_detect_finds_the_object(workspace):
         assert 0.0 < det.score <= 1.0
 
 
-def test_detect_manifest_round_trips(workspace):
+def test_detect_manifest_round_trips(workspace, tmp_path):
     with open(workspace / "det.jsonl.manifest.json", encoding="utf-8") as f:
         manifest = json.load(f)
     assert manifest["frames_processed"] == 24
     assert manifest["inputs"]["frames"] == str(workspace / "frames")
     assert manifest["outputs"]["detections"] == str(workspace / "det.jsonl")
     assert manifest["duration_seconds"] >= 0.0
-    rebuilt = PipelineConfig.from_dict(manifest["config"])
+    rebuilt = PipelineConfig.from_mapping(manifest["config"])
     assert rebuilt == PipelineConfig.from_file(workspace / "pipeline.cfg")
+    # the recorded config, written back out as a config file, reproduces the run
+    recorded = tmp_path / "recorded.cfg"
+    recorded.write_text("".join(f"{k} = {v}\n" for k, v in manifest["config"].items()))
+    out = tmp_path / "det.jsonl"
+    assert main(["detect", "--frames", str(workspace / "frames"),
+                 "--config", str(recorded), "--out", str(out)]) == 0
+    assert out.read_bytes() == (workspace / "det.jsonl").read_bytes()
 
 
 def test_detect_rerun_is_byte_identical(workspace, tmp_path):
@@ -199,6 +206,22 @@ def test_truncated_stream_exit_1(workspace, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_failed_detect_keeps_previous_outputs(workspace, tmp_path, capsys):
+    out = tmp_path / "det.jsonl"
+    manifest = tmp_path / "det.jsonl.manifest.json"
+    assert main(["detect", "--frames", str(workspace / "frames"),
+                 "--config", str(workspace / "pipeline.cfg"), "--out", str(out)]) == 0
+    before = out.read_bytes(), manifest.read_bytes()
+    stream = tmp_path / "cut.gwvs"
+    write_raw_stream(read_frame_sequence(workspace / "frames"), stream)
+    stream.write_bytes(stream.read_bytes()[:-10])  # fails on the last frame
+    assert main(["detect", "--frames", str(stream),
+                 "--config", str(workspace / "pipeline.cfg"), "--out", str(out)]) == 1
+    assert "truncated" in capsys.readouterr().err
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+    assert not (tmp_path / "det.jsonl.part").exists()
+
+
 BIG_SCORE = "1" * 400
 
 
@@ -209,7 +232,15 @@ BIG_SCORE = "1" * 400
     ("det.jsonl", '{"frame": 1e400, "boxes": []}'),
     ("det.jsonl", '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
                   '"color": "red", "score": ' + "1" * 400 + '}]}'),
-], ids=["persons-x-1e400", "gwvs1-300000", "gwvs1-1e11", "frame-1e400", "score-400-digits"])
+    ("det.jsonl", '{"frame": true, "boxes": [{"x": "1", "y": 1.9, "w": true, "h": 2, '
+                  '"color": 7, "score": "0.5"}]}'),
+    ("det.jsonl", '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
+                  '"color": 7, "score": 0.5}]}'),
+    ("det.jsonl", '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
+                  '"color": "red", "score": true}]}'),
+    ("det.jsonl", '{"frame": ' + "1" * 5000 + ', "boxes": []}'),
+], ids=["persons-x-1e400", "gwvs1-300000", "gwvs1-1e11", "frame-1e400", "score-400-digits",
+        "all-coerced", "color-number", "score-true", "frame-5000-digits"])
 def test_malformed_input_exit_1(workspace, tmp_path, capsys, name, text):
     bad = tmp_path / name
     bad.write_text(text + "\n")

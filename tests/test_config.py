@@ -1,8 +1,13 @@
 import math
+import string
+from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import numpy as np
 import pytest
 
-from garmwatch import BackgroundModel, ConfigError, PipelineConfig
+from garmwatch import BackgroundModel, ColorBand, ConfigError, PipelineConfig
 from garmwatch.colorseg import DEFAULT_BANDS
 from garmwatch.config import parse_flat_text, read_flat_file
 
@@ -109,7 +114,7 @@ def test_non_finite_values_rejected(kw, match):
     with pytest.raises(ConfigError, match=match):
         PipelineConfig(**kw)
     with pytest.raises(ConfigError, match=match):
-        PipelineConfig.from_dict(kw)
+        replace(PipelineConfig(), **kw)
     with pytest.raises(ConfigError, match=match):
         BackgroundModel(2, 2, **kw)
 
@@ -190,25 +195,82 @@ def test_from_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# snapshot round-trip
+# to_mapping: the inverse of from_mapping
 
-def test_to_dict_from_dict_round_trip():
+def test_to_mapping_from_mapping_round_trip():
     cfg = PipelineConfig.from_mapping(parse_flat_text(CONFIG_TEXT))
-    again = PipelineConfig.from_dict(cfg.to_dict())
-    assert again == cfg
+    flat = cfg.to_mapping()
+    assert PipelineConfig.from_mapping(flat) == cfg
+    assert flat["history_length"] == "250"
+    assert flat["var_init"] == "100.0"
+    assert flat["band.red.hue"] == "0.0:10.0,350.0:360.0"
+    assert flat["band.cyan.sat_min"] == "0.3"
 
 
 def test_round_trip_with_defaults():
     cfg = PipelineConfig()
-    assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+    flat = cfg.to_mapping()
+    assert "min_area" not in flat and "warmup_frames" not in flat  # None is omitted
+    assert PipelineConfig.from_mapping(flat) == cfg
 
 
-def test_from_dict_rejects_unknown_field():
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_dict({"mystery": 1})
+# Characters a band label may use and still be a band.<label>.<field> key.
+FLAT_KEY_ALPHABET = string.ascii_letters + string.digits + "_-"
 
 
-def test_with_overrides():
-    cfg = PipelineConfig().with_overrides(history_length=100, warmup_frames=10)
-    assert cfg.history_length == 100
-    assert cfg.warmup == 10
+def scalar(values, numpy_type):
+    """Plain Python numbers or the same values as numpy scalars."""
+    return st.one_of(values, values.map(numpy_type))
+
+
+def reals(lo, hi, open_lo=False, open_hi=False):
+    """Floats in [lo, hi] (integer ends, open as asked), int-valued floats
+    and numpy float64 included."""
+    values = st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi)
+    first, last = lo + open_lo, hi - open_hi
+    if first <= last:
+        values |= st.integers(first, last).map(float)
+    return scalar(values, np.float64)
+
+
+@st.composite
+def bands(draw):
+    labels = draw(st.lists(st.text(FLAT_KEY_ALPHABET, min_size=1, max_size=6),
+                           min_size=1, max_size=4, unique=True))
+    table = []
+    for label in labels:
+        cuts = sorted(draw(st.lists(reals(0, 360), min_size=2, max_size=4, unique=True)))
+        ranges = ((cuts[0], cuts[1]),) if len(cuts) < 4 else ((cuts[0], cuts[1]),
+                                                             (cuts[2], cuts[3]))
+        table.append(ColorBand(label, ranges, draw(reals(0, 1)), draw(reals(0, 1))))
+    return tuple(table)
+
+
+@st.composite
+def configs(draw):
+    var_min, var_init, var_max = sorted(
+        draw(st.lists(reals(0, 10**6, open_lo=True), min_size=3, max_size=3)))
+    return PipelineConfig(
+        history_length=draw(scalar(st.integers(1, 10**6), np.int64)),
+        match_threshold=draw(reals(0, 100, open_lo=True)),
+        background_fraction=draw(reals(0, 1, open_lo=True, open_hi=True)),
+        max_components=draw(scalar(st.integers(1, 8), np.int64)),
+        var_init=var_init, var_min=var_min, var_max=var_max,
+        binarize_threshold=draw(scalar(st.integers(0, 255), np.int64)),
+        se_size=draw(scalar(st.integers(1, 20).map(lambda k: 2 * k + 1), np.int64)),
+        min_area=draw(st.none() | reals(0, 10**6)),
+        gap_threshold=draw(st.none() | reals(0, 1000)),
+        containment_min=draw(reals(0, 1)),
+        warmup_frames=draw(st.none() | scalar(st.integers(0, 10**6), np.int64)),
+        bands=draw(bands()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_to_mapping_inverts_from_mapping(cfg):
+    flat = cfg.to_mapping()
+    assert all(isinstance(v, str) and "np." not in v for v in flat.values())
+    assert PipelineConfig.from_mapping(flat) == cfg
+    # and the pairs survive a trip through a config file
+    text = "".join(f"{k} = {v}\n" for k, v in flat.items())
+    assert PipelineConfig.from_mapping(parse_flat_text(text)) == cfg

@@ -240,14 +240,6 @@ def test_annotations_reject_decreasing_frames(tmp_path):
         frameio.read_annotations(path)
 
 
-def test_annotations_bounds_check(tmp_path):
-    path = tmp_path / "gt.jsonl"
-    path.write_text('{"frame": 0, "boxes": [{"x": 90, "y": 0, "w": 20, "h": 5}]}\n')
-    assert frameio.read_annotations(path)  # no frame size given: accepted
-    with pytest.raises(ValidationError):
-        frameio.read_annotations(path, frame_size=(100, 100))
-
-
 def test_detections_round_trip(tmp_path):
     dets = [Detection(0, BoundingBox(1, 1, 5, 5), "red", 0.1),
             Detection(0, BoundingBox(8, 8, 4, 4), "blue", 0.05),
@@ -279,11 +271,35 @@ def test_detections_reject_bad_score(tmp_path):
                               '"color": "red", "score": ' + "1" * 400 + '}]}'),
     (frameio.read_annotations, '{"frame": 0, "boxes": null}'),
     (frameio.read_person_boxes, '{"frame": 0, "persons": 5}'),
+    (frameio.read_annotations, '{"frame": ' + "1" * 5000 + ', "boxes": []}'),
+    (frameio.read_annotations, b'{"frame": 0, "boxes": [\xff]}'),
+    (frameio.read_annotations, '{"frame": true, "boxes": []}'),
+    (frameio.read_annotations, '{"frame": 1.0, "boxes": []}'),
+    (frameio.read_annotations, '{"frame": "1", "boxes": []}'),
+    (frameio.read_annotations, '{"frame": 0, "boxes": [{"x": "1", "y": 1, "w": 2, "h": 2}]}'),
+    (frameio.read_annotations, '{"frame": 0, "boxes": [{"x": 1, "y": 1.9, "w": 2, "h": 2}]}'),
+    (frameio.read_person_boxes,
+     '{"frame": 0, "persons": [{"x": 1, "y": 1, "w": true, "h": 2}]}'),
+    (frameio.read_annotations, '{"frame": 0, "boxes": [[1, 1, 2, 2]]}'),
+    (frameio.read_detections, '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
+                              '"color": 7, "score": 0.5}]}'),
+    (frameio.read_annotations, '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
+                               '"color": "red", "score": "0.5"}]}'),
+    (frameio.read_detections, '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
+                              '"color": "red", "score": true}]}'),
+    (frameio.read_detections, '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
+                              '"color": "red"}]}'),
+    (frameio.read_detections,
+     '{"frame": true, "boxes": [{"x": "1", "y": 1.9, "w": true, "h": 2, '
+     '"color": 7, "score": "0.5"}]}'),
 ], ids=["box-x-1e400", "person-x-1e400", "frame-1e400", "score-400-digits",
-        "boxes-null", "persons-number"])
+        "boxes-null", "persons-number", "frame-5000-digits", "not-utf8", "frame-true",
+        "frame-float", "frame-string", "box-x-string", "box-y-float", "person-w-true",
+        "box-list", "color-number", "score-string", "score-true", "score-missing",
+        "all-coerced"])
 def test_records_reject_unusable_fields(tmp_path, reader, text):
     path = tmp_path / "records.jsonl"
-    path.write_text(text + "\n")
+    path.write_bytes((text if isinstance(text, bytes) else text.encode()) + b"\n")
     with pytest.raises(ParseError, match="line 1"):
         reader(path)
 

@@ -2,6 +2,7 @@ import io
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ def test_iter_sequence_pairs_frames_with_detections():
 
 def test_min_area_floor_drops_small_regions():
     frames, _, _ = render(two_object_scene())
-    big_floor = CONFIG.with_overrides(min_area=500.0)  # objects are 144 px
+    big_floor = replace(CONFIG, min_area=500.0)  # objects are 144 px
     assert process_sequence(frames, config=big_floor) == []
 
 
