@@ -12,9 +12,9 @@ frame; a failed run removes the part file and leaves any earlier ``--out``
 and manifest as they were.  The manifest's ``config`` holds the run's
 config as the flat ``key = value`` pairs that ``--config`` reads.
 
-Exit statuses: 0 success, 1 input or data error, 2 configuration error.
-The pipeline config comes from --config, else from the GW_CONFIG
-environment variable, else built-in defaults.
+``detect`` reads the person sidecar one record at a time as the frames
+advance.  Exit statuses: 0 success, 1 input or data error, 2 configuration
+error.  The pipeline config comes from --config, else built-in defaults.
 """
 
 from __future__ import annotations
@@ -32,13 +32,6 @@ from .colorseg import DISPLAY_COLORS
 from .config import PipelineConfig, read_flat_file
 from .errors import ConfigError, GarmwatchError, ValidationError
 from .frameio import Detection, Frame
-
-
-def _load_config(path: str | None) -> tuple[PipelineConfig, str | None]:
-    path = path or os.environ.get("GW_CONFIG")
-    if path:
-        return PipelineConfig.from_file(path), path
-    return PipelineConfig(), None
 
 
 def _open_frames(path: str):
@@ -92,8 +85,8 @@ def _parse_taus(text: str) -> list[float]:
 
 
 def cmd_detect(args) -> int:
-    config, config_path = _load_config(args.config)
-    persons = frameio.read_person_boxes(args.persons) if args.persons else None
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    persons = frameio.iter_person_boxes(args.persons) if args.persons else None
     if args.overlay:
         os.makedirs(args.overlay, exist_ok=True)
 
@@ -118,7 +111,7 @@ def cmd_detect(args) -> int:
     manifest = {
         "config": config.to_mapping(),
         "inputs": {"frames": args.frames, "persons": args.persons,
-                   "config": config_path},
+                   "config": args.config},
         "outputs": {"detections": args.out, "overlay": args.overlay},
         "frames_processed": nframes,
         "duration_seconds": time.monotonic() - start,
@@ -166,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the detection pipeline over frames")
     p.add_argument("--frames", required=True,
                    help="PPM sequence directory or GWVS1 stream file")
-    p.add_argument("--config", help="pipeline config file (else $GW_CONFIG, else defaults)")
+    p.add_argument("--config", help="pipeline config file (else defaults)")
     p.add_argument("--out", required=True, help="output detections JSONL path")
     p.add_argument("--persons", help="person boxes sidecar JSONL")
     p.add_argument("--overlay", help="directory for frames with drawn detection boxes")
@@ -175,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--det", required=True, help="detections JSONL")
     p.add_argument("--gt", required=True, help="ground-truth JSONL")
-    p.add_argument("--tau", type=float, default=0.55, help="IoU threshold (default 0.55)")
+    p.add_argument("--tau", type=float, default=metrics.DEFAULT_TAU,
+                   help="IoU threshold (default %(default)s)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("curve", help="precision/recall versus IoU threshold")

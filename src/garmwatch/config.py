@@ -1,11 +1,16 @@
 """Pipeline configuration and the flat key = value file format.
 
 Config files are plain text: one ``key = value`` per line, blank lines
-skipped, ``#`` starting a comment.  Pipeline keys mirror the
-PipelineConfig field names; color bands arrive as repeated
-``band.<label>.<field>`` keys with fields hue (comma-separated lo:hi
-degree intervals), sat_min and val_min.  When any band key is present the
-configured table replaces the default one entirely.
+skipped, ``#`` starting a comment.  The same format holds pipeline
+configs and synth scene specs, and both are read by two helpers here:
+split_keys separates top-level keys from ``<group>.<name>.<field>`` keys,
+and parse_fields turns a dataclass's field strings into values by each
+field's annotation, rejecting unknown keys and missing required fields.
+
+Pipeline keys are the PipelineConfig field names; color bands arrive as
+repeated ``band.<label>.<field>`` keys with fields hue (comma-separated
+lo:hi degree intervals), sat_min and val_min.  When any band key is
+present the configured table replaces the default one entirely.
 PipelineConfig.to_mapping writes a config back out as these pairs.
 
 min_area and gap_threshold default by resolution: 400 px^2 and 20 px at
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .colorseg import DEFAULT_BANDS, ColorBand
 from .errors import ConfigError, ValidationError
@@ -47,6 +52,68 @@ def parse_flat_text(text: str, source: str = "<config>") -> dict[str, str]:
 def read_flat_file(path: str | os.PathLike) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as f:
         return parse_flat_text(f.read(), source=str(path))
+
+
+def split_keys(pairs: dict[str, str], groups: tuple[str, ...],
+               error: type[Exception]) -> tuple[dict[str, str],
+                                                 dict[tuple[str, str], dict[str, str]]]:
+    """Split flat pairs into top-level keys and ``<group>.<name>.<field>`` keys.
+
+    Returns the top-level pairs, and the grouped ones as ``{field: value}``
+    per ``(group, name)`` in first-seen order.  Any other key raises error.
+    """
+    top: dict[str, str] = {}
+    grouped: dict[tuple[str, str], dict[str, str]] = {}
+    for key, value in pairs.items():
+        parts = key.split(".")
+        if len(parts) == 1:
+            top[key] = value
+        elif len(parts) == 3 and parts[0] in groups:
+            grouped.setdefault((parts[0], parts[1]), {})[parts[2]] = value
+        else:
+            raise error(f"bad key {key!r}, expected <field> or "
+                        + " or ".join(f"{g}.<name>.<field>" for g in groups))
+    return top, grouped
+
+
+def _ints(n: int):
+    def parse(text: str) -> tuple[int, ...]:
+        values = tuple(int(part) for part in text.split())
+        if len(values) != n:
+            raise ValueError(text)
+        return values
+    return parse
+
+
+# Value parsers by field annotation; annotations are strings in this package.
+PARSERS = {"int": int, "float": float,
+           "tuple[int, int]": _ints(2), "tuple[int, int, int]": _ints(3)}
+
+
+def parse_fields(cls, values: dict[str, str], error: type[Exception], where: str,
+                 parsers: dict = PARSERS, given: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments for dataclass cls from flat field strings.
+
+    Each string is parsed by ``parsers[annotation]`` of its field, with a
+    ``T | None`` annotation parsed as ``T``.  Fields named in given are
+    supplied by the caller and are not keys.  An unknown key, a value that
+    does not parse, or a missing field without a default raises error,
+    naming where.
+    """
+    known = {f.name: f for f in fields(cls) if f.name not in given}
+    kwargs = {}
+    for name, text in values.items():
+        if name not in known:
+            raise error(f"{where}: unknown field {name!r}")
+        kind = known[name].type.removesuffix(" | None")
+        try:
+            kwargs[name] = parsers[kind](text)
+        except ValueError:
+            raise error(f"{where}: {name}: expected {kind}, got {text!r}") from None
+    for name, f in known.items():
+        if name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{where}: missing field {name!r}")
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -147,32 +214,11 @@ class PipelineConfig:
     @classmethod
     def from_mapping(cls, pairs: dict[str, str]) -> "PipelineConfig":
         """Build a config from flat-file key/value strings."""
-        band_fields: dict[str, dict[str, str]] = {}
-        scalars: dict[str, str] = {}
-        for key, value in pairs.items():
-            if key.startswith("band."):
-                parts = key.split(".")
-                if len(parts) != 3 or not parts[1]:
-                    raise ConfigError(f"bad band key {key!r}, "
-                                      f"expected band.<label>.<field>")
-                band_fields.setdefault(parts[1], {})[parts[2]] = value
-            else:
-                scalars[key] = value
-
-        kwargs: dict = {}
-        converters = {f.name: int if f.type.startswith("int") else float
-                      for f in fields(cls) if f.name != "bands"}
-        for key, value in scalars.items():
-            if key not in converters:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = converters[key](value)
-            except ValueError:
-                raise ConfigError(f"{key}: bad value {value!r}") from None
-
-        if band_fields:
-            kwargs["bands"] = tuple(
-                _band_from_fields(label, bf) for label, bf in band_fields.items())
+        top, bands = split_keys(pairs, ("band",), ConfigError)
+        kwargs = parse_fields(cls, top, ConfigError, "config", given=("bands",))
+        if bands:
+            kwargs["bands"] = tuple(_band_from_fields(label, bf)
+                                    for (_, label), bf in bands.items())
         return cls(**kwargs)
 
     @classmethod
@@ -181,29 +227,18 @@ class PipelineConfig:
 
 
 def _band_from_fields(label: str, bf: dict[str, str]) -> ColorBand:
+    where = f"band {label!r}"
     if "hue" not in bf:
-        raise ConfigError(f"band {label!r} is missing its 'hue' intervals")
-    ranges = []
-    for chunk in bf["hue"].split(","):
-        lo, sep, hi = chunk.partition(":")
-        if not sep:
-            raise ConfigError(f"band {label!r}: hue interval {chunk!r} "
-                              f"is not of the form lo:hi")
-        try:
-            ranges.append((float(lo), float(hi)))
-        except ValueError:
-            raise ConfigError(f"band {label!r}: non-numeric hue interval {chunk!r}") from None
-    kwargs = {}
-    for key in ("sat_min", "val_min"):
-        if key in bf:
-            try:
-                kwargs[key] = float(bf[key])
-            except ValueError:
-                raise ConfigError(f"band {label!r}: bad {key} {bf[key]!r}") from None
-    extra = set(bf) - {"hue", "sat_min", "val_min"}
-    if extra:
-        raise ConfigError(f"band {label!r}: unknown field {sorted(extra)[0]!r}")
+        raise ConfigError(f"{where}: missing field 'hue'")
+    hue = bf.pop("hue")
+    kwargs = parse_fields(ColorBand, bf, ConfigError, where, given=("label", "hue_ranges"))
     try:
-        return ColorBand(label, tuple(ranges), **kwargs)
+        # the unpacking raises ValueError on an interval without exactly one ':'
+        ranges = tuple((float(lo), float(hi))
+                       for lo, hi in (chunk.split(":") for chunk in hue.split(",")))
+    except ValueError:
+        raise ConfigError(f"{where}: hue: expected lo:hi[,lo:hi], got {hue!r}") from None
+    try:
+        return ColorBand(label, ranges, **kwargs)
     except ValidationError as e:
         raise ConfigError(str(e)) from None

@@ -404,9 +404,14 @@ def write_detections(detections: Iterable[Detection],
                     for idx, group in groupby(dets, key=attrgetter("frame_index"))), sink)
 
 
+def iter_person_boxes(path: str | os.PathLike) -> Iterator[PersonBoxes]:
+    """Yield a person sidecar's records one line at a time."""
+    for idx, entries in _read_records(path, "persons"):
+        yield PersonBoxes(idx, [box for box, _, _ in entries])
+
+
 def read_person_boxes(path: str | os.PathLike) -> list[PersonBoxes]:
-    return [PersonBoxes(idx, [box for box, _, _ in entries])
-            for idx, entries in _read_records(path, "persons")]
+    return list(iter_person_boxes(path))
 
 
 def write_person_boxes(records: Iterable[PersonBoxes],

@@ -99,8 +99,11 @@ def _by_frame(detections: list[Detection],
     return [(det_frames.get(i, []), gt_frames.get(i, [])) for i in frames]
 
 
+DEFAULT_TAU = 0.55
+
+
 def evaluate(detections: list[Detection], annotations: list[Annotation],
-             tau: float = 0.55) -> EvalReport:
+             tau: float = DEFAULT_TAU) -> EvalReport:
     """Match every frame at threshold tau and aggregate the counts.
 
     Frames present on only one side count with an empty box list for the

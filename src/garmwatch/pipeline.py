@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 
 from . import bgsub, cluster, colorseg, regions
 from .config import PipelineConfig
+from .errors import ValidationError
 from .frameio import Detection, Frame, PersonBoxes
 
 
@@ -55,23 +56,40 @@ def iter_sequence(frames: Iterable[Frame],
                   config: PipelineConfig | None = None) -> Iterator[tuple[Frame, list[Detection]]]:
     """Run the pipeline over a frame stream, yielding (frame, detections).
 
-    persons, when given, is matched to frames by index; frames without a
-    sidecar entry get no person filtering.  The pipeline is closed when the
-    stream ends, fails or the iterator is closed.
+    persons, when given, is matched to frames by index as both streams
+    advance, so the sidecar is read one record at a time.  Frame indices
+    must rise, as every frame reader yields them, and sidecar records must
+    rise strictly (else ValidationError); frames without a sidecar entry
+    get no person filtering.  After the last frame the rest of the sidecar is
+    read, so a bad record past the end still fails.  The pipeline is
+    closed when the stream ends, fails or the iterator is closed.
     """
-    sidecar = {}
-    if persons is not None:
-        for record in persons:
-            sidecar[record.frame_index] = record
+    records = _rising(persons or ())
+    pending = next(records, None)
     pipeline = None
     try:
         for frame in frames:
             if pipeline is None:
                 pipeline = Pipeline(frame.width, frame.height, config)
-            yield frame, pipeline.process_frame(frame, sidecar.get(frame.index))
+            while pending is not None and pending.frame_index < frame.index:
+                pending = next(records, None)
+            match = pending if pending is not None and pending.frame_index == frame.index else None
+            yield frame, pipeline.process_frame(frame, match)
+        for _ in records:
+            pass
     finally:
         if pipeline is not None:
             pipeline.close()
+
+
+def _rising(persons: Iterable[PersonBoxes]) -> Iterator[PersonBoxes]:
+    last = -1
+    for record in persons:
+        if record.frame_index <= last:
+            raise ValidationError(f"person sidecar: frame {record.frame_index} "
+                                  f"follows frame {last}; frames must rise strictly")
+        last = record.frame_index
+        yield record
 
 
 def process_sequence(frames: Iterable[Frame],

@@ -11,6 +11,12 @@ a fixed seed reproduces the output byte for byte.
 Objects may be striped: rows alternate between two colors in fixed-height
 bands, which imitates multi-color garments that the paper pipeline splits
 into per-color fragments.
+
+Scene spec files use the flat ``key = value`` format of the config module
+and are read by its helpers: the keys are the SceneSpec, SceneObject and
+ScenePerson field names.  A spec is checked when it is rendered (sizes,
+colour channels in [0, 255], stripe widths, trajectories inside the
+frame), so specs built in Python get the same checks as spec files.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import PARSERS, parse_fields, split_keys
 from .errors import SceneError
 from .frameio import (Annotation, BoundingBox, Frame, PersonBoxes,
                       write_annotations, write_frame_sequence, write_person_boxes)
@@ -79,6 +86,11 @@ class SceneSpec:
     seed: int = 0
 
 
+def _check_channels(what: str, color: tuple[int, int, int]) -> None:
+    if not all(0 <= c <= 255 for c in color):
+        raise SceneError(f"{what}: channel values must be in [0, 255], got {color}")
+
+
 def _validate(spec: SceneSpec) -> None:
     if spec.width < 1 or spec.height < 1:
         raise SceneError(f"scene must be at least 1x1, got {spec.width}x{spec.height}")
@@ -86,8 +98,17 @@ def _validate(spec: SceneSpec) -> None:
         raise SceneError(f"nframes must be >= 0, got {spec.nframes}")
     if not 0 <= spec.noise_sigma < np.inf:
         raise SceneError(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
-    if isinstance(spec.background, str) and spec.background != TEXTURE:
-        raise SceneError(f"background must be an RGB triple or {TEXTURE!r}")
+    if isinstance(spec.background, str):
+        if spec.background != TEXTURE:
+            raise SceneError(f"background must be an RGB triple or {TEXTURE!r}")
+    else:
+        _check_channels("background", spec.background)
+    for i, obj in enumerate(spec.objects, start=1):
+        _check_channels(f"object {i}: color", obj.color)
+        if obj.stripe_color is not None:
+            _check_channels(f"object {i}: stripe_color", obj.stripe_color)
+        if obj.stripe_width < 1:
+            raise SceneError(f"object {i}: stripe_width must be >= 1, got {obj.stripe_width}")
     for kind, items in (("object", spec.objects), ("person", spec.persons)):
         for i, obj in enumerate(items, start=1):
             w, h = obj.size
@@ -190,116 +211,30 @@ def warmup_prefix(spec: SceneSpec, warmup_frames: int) -> SceneSpec:
 # ---------------------------------------------------------------------------
 # Scene spec files (flat key = value format, see config module)
 
-def _triple(value: str, key: str) -> tuple[int, int, int]:
-    parts = value.split()
-    if len(parts) != 3:
-        raise SceneError(f"{key}: expected 3 integers, got {value!r}")
-    try:
-        r, g, b = (int(p) for p in parts)
-    except ValueError:
-        raise SceneError(f"{key}: expected 3 integers, got {value!r}") from None
-    if not all(0 <= c <= 255 for c in (r, g, b)):
-        raise SceneError(f"{key}: channel values must be in [0, 255]")
-    return r, g, b
-
-
-def _pair(value: str, key: str) -> tuple[int, int]:
-    parts = value.split()
-    if len(parts) != 2:
-        raise SceneError(f"{key}: expected 2 integers, got {value!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise SceneError(f"{key}: expected 2 integers, got {value!r}") from None
-
-
-def _int(value: str, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise SceneError(f"{key}: expected an integer, got {value!r}") from None
+def _background(text: str) -> tuple[int, ...] | str:
+    return TEXTURE if text.strip() == TEXTURE else PARSERS["tuple[int, int, int]"](text)
 
 
 def scene_from_mapping(pairs: dict[str, str]) -> SceneSpec:
     """Build a SceneSpec from flat keys.
 
-    Scalar keys: width, height, nframes, background (three channel values
-    or the word 'texture'), noise_sigma, seed.  Grouped keys follow
-    object.<n>.<field> and person.<n>.<field> with fields color, size,
-    start, velocity, appear, disappear, stripe_color, stripe_width (person
-    groups use size/start/velocity/appear/disappear only).
+    Top-level keys are the SceneSpec fields (background is three channel
+    values or the word 'texture'); object.<n>.<field> and
+    person.<n>.<field> keys are the SceneObject and ScenePerson fields.
+    Groups are added in numeric order of n, then other names in sorted
+    order.  Values are checked against the frame at render time.
     """
-    groups: dict[tuple[str, str], dict[str, str]] = {}
-    scalars: dict[str, str] = {}
-    for key, value in pairs.items():
-        parts = key.split(".")
-        if len(parts) == 3 and parts[0] in ("object", "person"):
-            groups.setdefault((parts[0], parts[1]), {})[parts[2]] = value
-        elif len(parts) == 1:
-            scalars[key] = value
-        else:
-            raise SceneError(f"unknown scene key {key!r}")
+    top, groups = split_keys(pairs, ("object", "person"), SceneError)
+    spec = SceneSpec(**parse_fields(
+        SceneSpec, top, SceneError, "scene", given=("objects", "persons"),
+        parsers={**PARSERS, "tuple[int, int, int] | str": _background}))
 
-    known = {"width", "height", "nframes", "background", "noise_sigma", "seed"}
-    unknown = set(scalars) - known
-    if unknown:
-        raise SceneError(f"unknown scene key {sorted(unknown)[0]!r}")
-    for required in ("width", "height", "nframes"):
-        if required not in scalars:
-            raise SceneError(f"scene is missing required key {required!r}")
+    def group_order(key):
+        kind, name = key
+        return kind, (0, int(name)) if name.isdecimal() else (1, name)
 
-    spec = SceneSpec(width=_int(scalars["width"], "width"),
-                     height=_int(scalars["height"], "height"),
-                     nframes=_int(scalars["nframes"], "nframes"))
-    if "background" in scalars:
-        raw = scalars["background"]
-        spec.background = TEXTURE if raw.strip() == TEXTURE else _triple(raw, "background")
-    if "noise_sigma" in scalars:
-        try:
-            spec.noise_sigma = float(scalars["noise_sigma"])
-        except ValueError:
-            raise SceneError(f"noise_sigma: expected a number, "
-                             f"got {scalars['noise_sigma']!r}") from None
-    if "seed" in scalars:
-        spec.seed = _int(scalars["seed"], "seed")
-
-    def common(kind: str, name: str, fields: dict[str, str]) -> dict:
-        kwargs = {}
-        for need in ("size", "start"):
-            if need not in fields:
-                raise SceneError(f"{kind} {name} is missing {need!r}")
-        kwargs["size"] = _pair(fields.pop("size"), f"{kind}.{name}.size")
-        kwargs["start"] = _pair(fields.pop("start"), f"{kind}.{name}.start")
-        if "velocity" in fields:
-            kwargs["velocity"] = _pair(fields.pop("velocity"), f"{kind}.{name}.velocity")
-        if "appear" in fields:
-            kwargs["appear"] = _int(fields.pop("appear"), f"{kind}.{name}.appear")
-        if "disappear" in fields:
-            kwargs["disappear"] = _int(fields.pop("disappear"), f"{kind}.{name}.disappear")
-        return kwargs
-
-    def group_order(item):
-        (kind, name), _ = item
-        return (kind, (0, int(name)) if name.isdigit() else (1, name))
-
-    for (kind, name), fields in sorted(groups.items(), key=group_order):
-        if kind == "object":
-            if "color" not in fields:
-                raise SceneError(f"object {name} is missing 'color'")
-            kwargs = {"color": _triple(fields.pop("color"), f"object.{name}.color")}
-            if "stripe_color" in fields:
-                kwargs["stripe_color"] = _triple(fields.pop("stripe_color"),
-                                                 f"object.{name}.stripe_color")
-            if "stripe_width" in fields:
-                kwargs["stripe_width"] = _int(fields.pop("stripe_width"),
-                                              f"object.{name}.stripe_width")
-            kwargs.update(common(kind, name, fields))
-            if fields:
-                raise SceneError(f"object {name}: unknown field {sorted(fields)[0]!r}")
-            spec.objects.append(SceneObject(**kwargs))
-        else:
-            kwargs = common(kind, name, fields)
-            if fields:
-                raise SceneError(f"person {name}: unknown field {sorted(fields)[0]!r}")
-            spec.persons.append(ScenePerson(**kwargs))
+    kinds = {"object": (SceneObject, spec.objects), "person": (ScenePerson, spec.persons)}
+    for kind, name in sorted(groups, key=group_order):
+        cls, items = kinds[kind]
+        items.append(cls(**parse_fields(cls, groups[kind, name], SceneError, f"{kind} {name}")))
     return spec

@@ -6,14 +6,17 @@ for six frames, short enough that the background model never absorbs it at
 the configured history length, so detections match ground truth exactly.
 """
 
+import gc
 import json
+import os
+import tracemalloc
 
 import pytest
 
-from garmwatch import PipelineConfig
+from garmwatch import PipelineConfig, SceneObject, ScenePerson, SceneSpec, generate_frames
 from garmwatch.cli import main, run
-from garmwatch.frameio import (frame_filename, read_detections,
-                               read_frame_sequence, write_raw_stream)
+from garmwatch.frameio import (frame_filename, read_detections, read_frame_sequence,
+                               write_person_boxes, write_raw_stream)
 
 SCENE_TEXT = """\
 # one red rectangle, visible for six frames after the model settles
@@ -172,23 +175,6 @@ def test_curve_custom_sweep_to_file(workspace, tmp_path):
     assert [row.split(",")[0] for row in lines] == ["tau", "0.2", "0.4", "0.6", "0.8"]
 
 
-def test_config_falls_back_to_environment(workspace, tmp_path, monkeypatch):
-    monkeypatch.setenv("GW_CONFIG", str(workspace / "strict.cfg"))
-    out = tmp_path / "det.jsonl"
-    assert main(["detect", "--frames", str(workspace / "frames"),
-                 "--out", str(out)]) == 0
-    assert read_detections(out) == []
-
-
-def test_config_flag_beats_environment(workspace, tmp_path, monkeypatch):
-    monkeypatch.setenv("GW_CONFIG", str(workspace / "strict.cfg"))
-    out = tmp_path / "det.jsonl"
-    assert main(["detect", "--frames", str(workspace / "frames"),
-                 "--config", str(workspace / "pipeline.cfg"),
-                 "--out", str(out)]) == 0
-    assert len(read_detections(out)) == 6
-
-
 def test_missing_frames_exit_1(workspace, tmp_path, capsys):
     rc = main(["detect", "--frames", str(tmp_path / "nowhere"),
                "--out", str(tmp_path / "det.jsonl")])
@@ -222,6 +208,37 @@ def test_failed_detect_keeps_previous_outputs(workspace, tmp_path, capsys):
     assert not (tmp_path / "det.jsonl.part").exists()
 
 
+def test_detect_memory_flat_in_sidecar_length(tmp_path, monkeypatch):
+    # One strip thread keeps the update's temporaries, and so the peak,
+    # the same from run to run; a GWVS1 stream is read a frame at a time.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    # the model's state stops growing within history_length frames
+    (tmp_path / "pipeline.cfg").write_text("history_length = 20\nwarmup_frames = 5\n")
+
+    def detect_peak(nframes):
+        spec = SceneSpec(64, 48, nframes, seed=1,
+                         objects=[SceneObject((220, 30, 30), (8, 8), (10, 10))],
+                         persons=[ScenePerson((12, 12), (8, 8))])
+        rows = list(generate_frames(spec))
+        frames, persons = tmp_path / f"{nframes}.gwvs", tmp_path / f"{nframes}.jsonl"
+        write_raw_stream([frame for frame, _, _ in rows], frames)
+        write_person_boxes([boxes for _, _, boxes in rows], persons)
+        del rows
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["detect", "--frames", str(frames), "--persons", str(persons),
+                         "--config", str(tmp_path / "pipeline.cfg"),
+                         "--out", str(tmp_path / "det.jsonl")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    detect_peak(5)  # first-call caches
+    short, long = detect_peak(30), detect_peak(240)
+    assert abs(long - short) < 64 * 48 * 3
+
+
 BIG_SCORE = "1" * 400
 
 
@@ -239,8 +256,11 @@ BIG_SCORE = "1" * 400
     ("det.jsonl", '{"frame": 0, "boxes": [{"x": 0, "y": 0, "w": 1, "h": 1, '
                   '"color": "red", "score": true}]}'),
     ("det.jsonl", '{"frame": ' + "1" * 5000 + ', "boxes": []}'),
+    ("persons.jsonl", "".join(f'{{"frame": {i}, "persons": []}}\n' for i in range(30))
+     + '{"frame": 30, "persons": [{"x": -1, "y": 0, "w": 1, "h": 1}]}'),
 ], ids=["persons-x-1e400", "gwvs1-300000", "gwvs1-1e11", "frame-1e400", "score-400-digits",
-        "all-coerced", "color-number", "score-true", "frame-5000-digits"])
+        "all-coerced", "color-number", "score-true", "frame-5000-digits",
+        "persons-bad-past-the-end"])
 def test_malformed_input_exit_1(workspace, tmp_path, capsys, name, text):
     bad = tmp_path / name
     bad.write_text(text + "\n")
@@ -306,6 +326,20 @@ def test_bad_scene_exit_1(tmp_path, capsys):
                "--out-gt", str(tmp_path / "gt.jsonl")])
     assert rc == 1
     assert "width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["object.0.stripe_width = 0", "object.0.stripe_color = 0 300 0",
+                                  "background = -1 0 0"])
+def test_unrenderable_scene_exit_1(tmp_path, capsys, line):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE_TEXT.replace("background = 96 96 96\n", "") + line + "\n")
+    rc = main(["synth", "--scene", str(scene),
+               "--out-frames", str(tmp_path / "frames"),
+               "--out-gt", str(tmp_path / "gt.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "frames").exists()
 
 
 def test_bad_taus_exit_1(workspace, capsys):

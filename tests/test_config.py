@@ -188,6 +188,18 @@ def test_from_mapping_errors():
         PipelineConfig.from_mapping({"band.red.hue": "0:10", "band.red.glow": "1"})
 
 
+@pytest.mark.parametrize("pairs, key", [
+    ({"band.red.hue": "0-20"}, "hue"),
+    ({"band.red.hue": "0:20", "band.red.sat_min": "high"}, "sat_min"),
+    ({"history_length": "fast"}, "history_length"),
+    ({"gap_threshold": "1 2"}, "gap_threshold"),
+])
+def test_errors_name_the_flat_key(pairs, key):
+    with pytest.raises(ConfigError) as exc:
+        PipelineConfig.from_mapping(pairs)
+    assert key in str(exc.value) and "hue_ranges" not in str(exc.value)
+
+
 def test_from_file(tmp_path):
     path = tmp_path / "pipe.cfg"
     path.write_text("history_length = 77\n")

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import garmwatch.pipeline
-from garmwatch import (Frame, Pipeline, PipelineConfig, SceneObject,
-                       ScenePerson, SceneSpec, StreamError, evaluate, generate_frames,
-                       iter_sequence, process_sequence, warmup_prefix)
+from garmwatch import (Frame, PersonBoxes, Pipeline, PipelineConfig, SceneObject,
+                       ScenePerson, SceneSpec, StreamError, ValidationError, evaluate,
+                       generate_frames, iter_sequence, process_sequence, warmup_prefix)
 from garmwatch.frameio import read_raw_stream, write_raw_stream
 
 WARMUP = 60
@@ -110,6 +110,27 @@ def test_person_box_suppresses_covered_garment(clean_run):
         got_counts[d.frame_index] = got_counts.get(d.frame_index, 0) + 1
     for i, n in got_counts.items():
         assert n <= base_counts.get(i, 0)
+
+
+def test_sidecar_joins_by_frame_index():
+    frames, _, persons = render(two_object_scene(persons=True))
+    sparse = persons[::2] + [PersonBoxes(len(frames) + 5, [])]  # gaps, one past the end
+    by_index = {p.frame_index: p for p in sparse}
+    pipe = Pipeline(160, 120, CONFIG)
+    try:
+        expected = [d for f in frames for d in pipe.process_frame(f, by_index.get(f.index))]
+    finally:
+        pipe.close()
+    assert process_sequence(frames, iter(sparse), config=CONFIG) == expected
+    assert expected != process_sequence(frames, persons, config=CONFIG)
+
+
+@pytest.mark.parametrize("indices", [(3, 3), (5, 2), (150, 120)],
+                         ids=["repeated", "falling", "falling-past-the-end"])
+def test_sidecar_must_rise_strictly(indices):
+    frames, _, _ = render(two_object_scene())
+    with pytest.raises(ValidationError, match="rise strictly"):
+        process_sequence(frames, [PersonBoxes(i, []) for i in indices], config=CONFIG)
 
 
 def test_empty_stream():

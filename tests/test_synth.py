@@ -1,5 +1,7 @@
 import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -116,6 +118,16 @@ def test_validation_errors():
         render(SceneSpec(10, 10, 1, background="speckle"))
     with pytest.raises(SceneError):
         render(SceneSpec(10, 10, 1, objects=[SceneObject((0, 0, 0), (0, 4), (0, 0))]))
+    with pytest.raises(SceneError, match="color"):
+        render(SceneSpec(8, 8, 1, objects=[SceneObject((300, 0, 0), (2, 2), (0, 0))]))
+    with pytest.raises(SceneError, match="stripe_color"):
+        render(SceneSpec(8, 8, 1, objects=[SceneObject((0, 0, 0), (2, 2), (0, 0),
+                                                       stripe_color=(0, -1, 0))]))
+    with pytest.raises(SceneError, match="background"):
+        render(SceneSpec(8, 8, 1, background=(-1, 0, 0)))
+    with pytest.raises(SceneError, match="stripe_width"):
+        render(SceneSpec(8, 8, 1, objects=[SceneObject((0, 0, 0), (2, 2), (0, 0),
+                                                       stripe_width=0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +266,63 @@ def test_scene_mapping_errors():
         with pytest.raises(SceneError, match="noise_sigma must be finite"):
             render(scene_from_mapping({"width": "10", "height": "10", "nframes": "1",
                                        "noise_sigma": sigma}))
+
+
+# Object names include 10, which sorts before 2 as text: the parsed order
+# must be numeric.  Person names put a digit name before a letter name.
+OBJECT_NAMES = ("1", "2", "10")
+PERSON_NAMES = ("9", "a")
+CHANNELS = st.tuples(*[st.integers(0, 255)] * 3)
+
+
+def optional(draw, kwargs, name, values):
+    """Set kwargs[name] from values, or leave the field at its default."""
+    if draw(st.booleans()):
+        kwargs[name] = draw(values)
+
+
+def flat_value(value):
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def scene_texts(draw):
+    """A valid SceneSpec and its flat text, each field set only when drawn."""
+    width, height, nframes = (draw(st.integers(32, 64)), draw(st.integers(32, 64)),
+                              draw(st.integers(0, 5)))
+    lines, top = [], {"width": width, "height": height, "nframes": nframes}
+    optional(draw, top, "background", st.just("texture") | CHANNELS)
+    optional(draw, top, "noise_sigma", st.floats(0, 10))
+    optional(draw, top, "seed", st.integers(0, 2**32))
+    lines += [f"{k} = {flat_value(v)}" for k, v in top.items()]
+    groups = {"object": [], "person": []}
+    for kind, cls, names in (("object", SceneObject, OBJECT_NAMES[-draw(st.integers(1, 3)):]),
+                             ("person", ScenePerson, PERSON_NAMES[:draw(st.integers(0, 2))])):
+        for name in names:
+            # a box at least 10 px inside the frame moves at most 2 px a frame
+            # for under 5 frames, so it never leaves
+            size = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+            kw = {"size": size,
+                  "start": (draw(st.integers(10, width - size[0] - 10)),
+                            draw(st.integers(10, height - size[1] - 10)))}
+            if kind == "object":
+                kw["color"] = draw(CHANNELS)
+                optional(draw, kw, "stripe_color", CHANNELS)
+                optional(draw, kw, "stripe_width", st.integers(1, 6))
+            optional(draw, kw, "velocity", st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+            optional(draw, kw, "appear", st.integers(0, 3))
+            optional(draw, kw, "disappear", st.integers(0, 6))
+            groups[kind].append(cls(**kw))
+            lines += [f"{kind}.{name}.{k} = {flat_value(v)}" for k, v in kw.items()]
+    spec = SceneSpec(**top, objects=groups["object"], persons=groups["person"])
+    return spec, "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene_texts())
+def test_scene_text_round_trips(scene):
+    spec, text = scene
+    assert scene_from_mapping(parse_flat_text(text)) == spec
+    render(spec)  # a valid scene
