@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, physical_memory
 from .errors import ConfigError, ShapeError
 from .frameio import Frame
 
@@ -55,7 +55,7 @@ class BackgroundModel:
         cfg = replace(config or PipelineConfig(), **overrides)
         # weight, mean and variance: 8 + 24 + 8 bytes per slot and pixel
         state = 40 * cfg.max_components * width * height
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        memory = physical_memory()
         if state > memory:
             raise ConfigError(
                 f"max_components={cfg.max_components} at {width}x{height} needs "

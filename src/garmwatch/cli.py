@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -61,6 +62,9 @@ def _overlay_frame(frame: Frame, detections: list[Detection]) -> Frame:
     return Frame(frame.index, pixels)
 
 
+MAX_TAUS = 1000  # thresholds one --taus sweep may give
+
+
 def _parse_taus(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -69,18 +73,19 @@ def _parse_taus(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--taus must be numeric, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"--taus parts must be finite, got {text!r}")
     if step <= 0:
         raise ValidationError(f"--taus step must be > 0, got {step}")
-    taus = []
-    i = 0
-    while True:
-        tau = round(start + i * step, 10)
-        if tau > stop + 1e-9:
-            break
-        taus.append(tau)
-        i += 1
+    span = (stop + 1e-9 - start) / step  # steps from start to the last threshold
+    if not span < MAX_TAUS:
+        raise ValidationError(f"--taus {text!r} gives more than {MAX_TAUS} thresholds")
+    taus = [round(start + i * step, 10) for i in range(int(max(span, 0)) + 2)]
+    taus = [tau for tau in taus if tau <= stop + 1e-9]
     if not taus:
         raise ValidationError(f"--taus {text!r} produces no thresholds")
+    if not 0 < taus[0] <= taus[-1] < 1:
+        raise ValidationError(f"--taus thresholds must lie in (0, 1), got {text!r}")
     return taus
 
 
@@ -131,9 +136,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    taus = _parse_taus(args.taus) if args.taus else list(metrics.DEFAULT_TAUS)
     detections = frameio.read_detections(args.det)
     annotations = frameio.read_annotations(args.gt)
-    taus = _parse_taus(args.taus) if args.taus else list(metrics.DEFAULT_TAUS)
     rows = metrics.pr_curve(detections, annotations, taus)
     csv = metrics.format_curve_csv(rows) + "\n"
     if args.out:
@@ -175,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="precision/recall versus IoU threshold")
     p.add_argument("--det", required=True, help="detections JSONL")
     p.add_argument("--gt", required=True, help="ground-truth JSONL")
-    p.add_argument("--taus", help="threshold sweep start:stop:step "
-                                  "(default 0.05:0.95:0.05)")
+    p.add_argument("--taus", help="threshold sweep start:stop:step inside (0, 1), "
+                                  f"at most {MAX_TAUS} thresholds (default 0.05:0.95:0.05)")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_curve)
 

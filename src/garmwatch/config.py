@@ -31,6 +31,11 @@ from .errors import ConfigError, ValidationError
 REFERENCE_AREA = 944 * 576
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the bound on what one allocation may need."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def parse_flat_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse ``key = value`` lines into an ordered mapping."""
     pairs: dict[str, str] = {}

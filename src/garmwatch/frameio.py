@@ -2,8 +2,9 @@
 
 Readers and writers for the three on-disk surfaces of the pipeline:
 
-* binary PPM (P6, maxval 255) frame sequences named ``frame_NNNNNN.ppm``,
-  contiguous from index 0;
+* binary PPM (P6, maxval 255) frame sequences named ``frame_NNNNNN.ppm``
+  (ASCII digits), contiguous from index 0; a directory listing keeps only
+  the frame count and highest index, so memory is flat in the length;
 * the GWVS1 raw stream container: one ASCII header line
   ``GWVS1 <width> <height> <fps> <nframes>`` followed by tightly packed
   RGB frames;
@@ -30,7 +31,10 @@ import numpy as np
 
 from .errors import FormatError, ParseError, SequenceError, StreamError, ValidationError
 
-FRAME_NAME_RE = re.compile(r"^frame_(\d{6})\.ppm$")
+FRAME_NAME_RE = re.compile(r"frame_(\d{6})\.ppm", re.ASCII)
+# magic, width, height, maxval, each after whitespace and '#' comments; the
+# lookaheads keep a token (ends at whitespace) or comment (at \n) whole
+PPM_HEADER_RE = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 4)
 
 
 @dataclass
@@ -125,50 +129,33 @@ class PersonBoxes:
 # ---------------------------------------------------------------------------
 # PPM sequences
 
-def _parse_ppm(buf: bytes, source: str) -> tuple[int, int, np.ndarray]:
-    # Token scan of the header; '#' comments allowed between tokens.
-    tokens: list[bytes] = []
-    i = 0
-    n = len(buf)
-    while len(tokens) < 4 and i < n:
-        c = buf[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and buf[i : i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not buf[j : j + 1].isspace():
-                j += 1
-            tokens.append(buf[i:j])
-            i = j
-    if len(tokens) < 4:
+def _parse_ppm(buf: bytes, source: str) -> np.ndarray:
+    m = PPM_HEADER_RE.match(buf)
+    if m is None:
         raise FormatError(f"{source}: truncated PPM header")
-    if tokens[0] != b"P6":
-        raise FormatError(f"{source}: not a binary PPM (magic {tokens[0]!r}, expected P6)")
+    magic, *fields = m.groups()
+    if magic != b"P6":
+        raise FormatError(f"{source}: not a binary PPM (magic {magic!r}, expected P6)")
     try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        width, height, maxval = map(int, fields)
     except ValueError:
         raise FormatError(f"{source}: non-numeric PPM header fields") from None
     if maxval != 255:
         raise FormatError(f"{source}: unsupported maxval {maxval}, expected 255")
     if width < 1 or height < 1:
         raise FormatError(f"{source}: invalid dimensions {width}x{height}")
-    i += 1  # exactly one whitespace byte separates the header from the pixels
-    data = buf[i : i + width * height * 3]
-    if len(data) != width * height * 3:
+    size = width * height * 3
+    offset = m.end() + 1  # exactly one whitespace byte separates the header from the pixels
+    if len(buf) - offset < size:
         raise FormatError(f"{source}: truncated pixel data "
-                          f"(expected {width * height * 3} bytes, got {len(data)})")
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-    return width, height, pixels
+                          f"(expected {size} bytes, got {max(len(buf) - offset, 0)})")
+    return np.frombuffer(buf, np.uint8, size, offset).reshape(height, width, 3)
 
 
 def read_ppm(path: str | os.PathLike, index: int = 0) -> Frame:
     with open(path, "rb") as f:
         buf = f.read()
-    _, _, pixels = _parse_ppm(buf, str(path))
-    return Frame(index, pixels.copy())
+    return Frame(index, _parse_ppm(buf, str(path)).copy())
 
 
 def write_ppm(frame: Frame, path: str | os.PathLike) -> None:
@@ -189,26 +176,28 @@ def read_frame_sequence(path: str | os.PathLike) -> Iterator[Frame]:
     gaps; a gap raises SequenceError naming the first missing index, and a
     dimension change mid-stream raises FormatError.
     """
-    names = {}
-    for name in os.listdir(path):
-        m = FRAME_NAME_RE.match(name)
-        if m:
-            names[int(m.group(1))] = name
-    if not names:
+    count, top = 0, -1
+    with os.scandir(path) as entries:
+        for entry in entries:
+            if m := FRAME_NAME_RE.fullmatch(entry.name):
+                count += 1
+                top = max(top, int(m[1]))
+    if not count:
         raise SequenceError(f"{path}: no frame_NNNNNN.ppm files found")
-    top = max(names)
-    missing = [i for i in range(top + 1) if i not in names]
-    if missing:
-        raise SequenceError(f"{path}: missing frame index {missing[0]}")
+    if count <= top:  # names are unique, so some index below top is absent
+        for i in range(top + 1):
+            if not os.path.lexists(os.path.join(path, frame_filename(i))):
+                raise SequenceError(f"{path}: missing frame index {i}")
 
     dims = None
     for i in range(top + 1):
-        frame = read_ppm(os.path.join(path, names[i]), index=i)
+        name = frame_filename(i)
+        frame = read_ppm(os.path.join(path, name), index=i)
         if dims is None:
             dims = (frame.width, frame.height)
         elif (frame.width, frame.height) != dims:
             raise FormatError(
-                f"{names[i]}: dimensions {frame.width}x{frame.height} differ from "
+                f"{name}: dimensions {frame.width}x{frame.height} differ from "
                 f"{dims[0]}x{dims[1]} earlier in the sequence")
         yield frame
 
@@ -243,15 +232,12 @@ def _read_header_line(f: IO[bytes], source: str) -> str:
 
 def read_raw_stream(source: str | os.PathLike | IO[bytes]) -> Iterator[Frame]:
     """Yield the frames of a GWVS1 raw stream (path or binary file object)."""
-    if hasattr(source, "read"):
-        yield from _read_raw(source, getattr(source, "name", "<stream>"))
-    else:
+    if not hasattr(source, "read"):
         with open(source, "rb") as f:
-            yield from _read_raw(f, str(source))
-
-
-def _read_raw(f: IO[bytes], name: str) -> Iterator[Frame]:
-    fields = _read_header_line(f, name).split()
+            yield from read_raw_stream(f)
+        return
+    name = getattr(source, "name", "<stream>")
+    fields = _read_header_line(source, name).split()
     if len(fields) != 5 or fields[0] != GWVS1_MAGIC:
         raise FormatError(f"{name}: bad GWVS1 header {fields!r}")
     try:
@@ -266,7 +252,7 @@ def _read_raw(f: IO[bytes], name: str) -> Iterator[Frame]:
         # Bounded reads: a header cannot make one read allocate more than
         # the source delivers, seekable or not.
         parts, want = [], frame_size
-        while want and (part := f.read(min(want, 1 << 24))):
+        while want and (part := source.read(min(want, 1 << 24))):
             parts.append(part)
             want -= len(part)
         data = b"".join(parts)
@@ -281,26 +267,20 @@ def write_raw_stream(frames: Iterable[Frame], sink: str | os.PathLike | IO[bytes
                      fps: int = 25) -> int:
     """Write frames as a GWVS1 stream; returns the frame count."""
     frames = list(frames)
+    if not hasattr(sink, "write"):
+        with open(sink, "wb") as f:
+            return write_raw_stream(frames, f, fps)
     if frames:
         width, height = frames[0].width, frames[0].height
     else:
         width = height = 1
-    header = f"{GWVS1_MAGIC} {width} {height} {fps} {len(frames)}\n".encode("ascii")
-
-    def emit(f: IO[bytes]):
-        f.write(header)
-        for frame in frames:
-            if (frame.width, frame.height) != (width, height):
-                raise ValidationError(
-                    f"frame {frame.index}: size {frame.width}x{frame.height} "
-                    f"differs from stream size {width}x{height}")
-            f.write(np.ascontiguousarray(frame.pixels, dtype=np.uint8).tobytes())
-
-    if hasattr(sink, "write"):
-        emit(sink)
-    else:
-        with open(sink, "wb") as f:
-            emit(f)
+    sink.write(f"{GWVS1_MAGIC} {width} {height} {fps} {len(frames)}\n".encode("ascii"))
+    for frame in frames:
+        if (frame.width, frame.height) != (width, height):
+            raise ValidationError(
+                f"frame {frame.index}: size {frame.width}x{frame.height} "
+                f"differs from stream size {width}x{height}")
+        sink.write(np.ascontiguousarray(frame.pixels, dtype=np.uint8).tobytes())
     return len(frames)
 
 

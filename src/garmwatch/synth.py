@@ -15,8 +15,9 @@ into per-color fragments.
 Scene spec files use the flat ``key = value`` format of the config module
 and are read by its helpers: the keys are the SceneSpec, SceneObject and
 ScenePerson field names.  A spec is checked when it is rendered (sizes,
-colour channels in [0, 255], stripe widths, trajectories inside the
-frame), so specs built in Python get the same checks as spec files.
+a frame that fits in physical memory, colour channels in [0, 255], stripe
+widths, trajectories inside the frame), so specs built in Python get the
+same checks as spec files.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import PARSERS, parse_fields, split_keys
+from .config import PARSERS, parse_fields, physical_memory, split_keys
 from .errors import SceneError
 from .frameio import (Annotation, BoundingBox, Frame, PersonBoxes,
                       write_annotations, write_frame_sequence, write_person_boxes)
@@ -94,6 +95,9 @@ def _check_channels(what: str, color: tuple[int, int, int]) -> None:
 def _validate(spec: SceneSpec) -> None:
     if spec.width < 1 or spec.height < 1:
         raise SceneError(f"scene must be at least 1x1, got {spec.width}x{spec.height}")
+    if 3 * spec.width * spec.height > physical_memory():
+        raise SceneError(f"one {spec.width}x{spec.height} frame needs more than the "
+                         f"{physical_memory() / 2**30:.1f} GiB of physical memory")
     if spec.nframes < 0:
         raise SceneError(f"nframes must be >= 0, got {spec.nframes}")
     if not 0 <= spec.noise_sigma < np.inf:
@@ -221,8 +225,8 @@ def scene_from_mapping(pairs: dict[str, str]) -> SceneSpec:
     Top-level keys are the SceneSpec fields (background is three channel
     values or the word 'texture'); object.<n>.<field> and
     person.<n>.<field> keys are the SceneObject and ScenePerson fields.
-    Groups are added in numeric order of n, then other names in sorted
-    order.  Values are checked against the frame at render time.
+    Groups are added in numeric order of n (ASCII digits), then other
+    names in sorted order.  Values are checked at render time.
     """
     top, groups = split_keys(pairs, ("object", "person"), SceneError)
     spec = SceneSpec(**parse_fields(
@@ -231,7 +235,8 @@ def scene_from_mapping(pairs: dict[str, str]) -> SceneSpec:
 
     def group_order(key):
         kind, name = key
-        return kind, (0, int(name)) if name.isdecimal() else (1, name)
+        digits = name.lstrip("0")  # compared as strings: int() has a digit limit
+        return kind, (0, len(digits), digits) if name.isascii() and name.isdigit() else (1, name)
 
     kinds = {"object": (SceneObject, spec.objects), "person": (ScenePerson, spec.persons)}
     for kind, name in sorted(groups, key=group_order):

@@ -16,7 +16,7 @@ import pytest
 from garmwatch import PipelineConfig, SceneObject, ScenePerson, SceneSpec, generate_frames
 from garmwatch.cli import main, run
 from garmwatch.frameio import (frame_filename, read_detections, read_frame_sequence,
-                               write_person_boxes, write_raw_stream)
+                               write_frame_sequence, write_person_boxes, write_raw_stream)
 
 SCENE_TEXT = """\
 # one red rectangle, visible for six frames after the model settles
@@ -210,18 +210,19 @@ def test_failed_detect_keeps_previous_outputs(workspace, tmp_path, capsys):
 
 def test_detect_memory_flat_in_sidecar_length(tmp_path, monkeypatch):
     # One strip thread keeps the update's temporaries, and so the peak,
-    # the same from run to run; a GWVS1 stream is read a frame at a time.
+    # the same from run to run; a GWVS1 stream is read a frame at a time,
+    # and a PPM directory is listed without keeping its names.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     # the model's state stops growing within history_length frames
     (tmp_path / "pipeline.cfg").write_text("history_length = 20\nwarmup_frames = 5\n")
 
-    def detect_peak(nframes):
+    def detect_peak(nframes, suffix, write_frames):
         spec = SceneSpec(64, 48, nframes, seed=1,
                          objects=[SceneObject((220, 30, 30), (8, 8), (10, 10))],
                          persons=[ScenePerson((12, 12), (8, 8))])
         rows = list(generate_frames(spec))
-        frames, persons = tmp_path / f"{nframes}.gwvs", tmp_path / f"{nframes}.jsonl"
-        write_raw_stream([frame for frame, _, _ in rows], frames)
+        frames, persons = tmp_path / f"{nframes}{suffix}", tmp_path / f"{nframes}.jsonl"
+        write_frames([frame for frame, _, _ in rows], frames)
         write_person_boxes([boxes for _, _, boxes in rows], persons)
         del rows
         gc.collect()
@@ -234,9 +235,10 @@ def test_detect_memory_flat_in_sidecar_length(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    detect_peak(5)  # first-call caches
-    short, long = detect_peak(30), detect_peak(240)
-    assert abs(long - short) < 64 * 48 * 3
+    for frames in ((".gwvs", write_raw_stream), (".ppm.d", write_frame_sequence)):
+        detect_peak(5, *frames)  # first-call caches
+        short, long = detect_peak(30, *frames), detect_peak(240, *frames)
+        assert abs(long - short) < 64 * 48 * 3, frames[0]
 
 
 BIG_SCORE = "1" * 400
@@ -329,10 +331,14 @@ def test_bad_scene_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["object.0.stripe_width = 0", "object.0.stripe_color = 0 300 0",
-                                  "background = -1 0 0"])
+                                  "background = -1 0 0",
+                                  # one frame of 1.4e13 bytes: refused before any allocation
+                                  "width = 100000000000"])
 def test_unrenderable_scene_exit_1(tmp_path, capsys, line):
+    key = line.split("=")[0]
     scene = tmp_path / "scene.txt"
-    scene.write_text(SCENE_TEXT.replace("background = 96 96 96\n", "") + line + "\n")
+    scene.write_text("".join(row for row in SCENE_TEXT.splitlines(keepends=True)
+                             if not row.startswith(key)) + line + "\n")
     rc = main(["synth", "--scene", str(scene),
                "--out-frames", str(tmp_path / "frames"),
                "--out-gt", str(tmp_path / "gt.jsonl")])
@@ -342,11 +348,13 @@ def test_unrenderable_scene_exit_1(tmp_path, capsys, line):
     assert not (tmp_path / "frames").exists()
 
 
-def test_bad_taus_exit_1(workspace, capsys):
+@pytest.mark.parametrize("taus", ["0.5", "nan:1:0.1", "0:inf:0.1", "0.1:0.9:nan", "0:1:1e-12"])
+def test_bad_taus_exit_1(workspace, capsys, taus):
     rc = main(["curve", "--det", str(workspace / "det.jsonl"),
-               "--gt", str(workspace / "gt.jsonl"), "--taus", "0.5"])
+               "--gt", str(workspace / "gt.jsonl"), "--taus", taus])
     assert rc == 1
-    assert "start:stop:step" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: --taus ") and err.count("\n") == 1
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -93,6 +93,19 @@ def test_ppm_rejects_truncated_pixels(tmp_path):
         frameio.read_ppm(path)
 
 
+@pytest.mark.parametrize("data, message", [
+    # a token may not split: without that, 22 would read as width 2, height 2
+    (b"P6 22 255\n" + b" " * 12, "truncated PPM header"),
+    (b"P6\n2 2\n255#x\n" + bytes(12), "non-numeric"),
+    (b"P6 2 #x 2\n", "truncated PPM header"),  # nor may a comment
+])
+def test_ppm_rejects_split_header_tokens(tmp_path, data, message):
+    path = tmp_path / "b.ppm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        frameio.read_ppm(path)
+
+
 # ---------------------------------------------------------------------------
 # Frame sequences
 
@@ -112,6 +125,25 @@ def test_sequence_gap_detected(tmp_path):
     frameio.write_frame_sequence(frames, tmp_path / "seq")
     with pytest.raises(SequenceError, match="index 2"):
         list(frameio.read_frame_sequence(tmp_path / "seq"))
+
+
+def test_sequence_gap_raises_on_first_next(tmp_path):
+    frames = [Frame(i, np.zeros((2, 2, 3), np.uint8)) for i in (0, 2)]
+    frameio.write_frame_sequence(frames, tmp_path / "seq")
+    reader = frameio.read_frame_sequence(tmp_path / "seq")
+    with pytest.raises(SequenceError, match="index 1"):
+        next(reader)
+
+
+def test_sequence_ignores_non_ascii_digit_names(tmp_path):
+    rng = np.random.default_rng(4)
+    frame = random_frame(rng, 3, 2)
+    frameio.write_frame_sequence([frame], tmp_path / "seq")
+    # Arabic-Indic digits: a look-alike of frame 0 and one of frame 1
+    for digits in ("\u0660" * 6, "00000\u0661"):
+        (tmp_path / "seq" / f"frame_{digits}.ppm").write_bytes(b"not a frame")
+    [back] = frameio.read_frame_sequence(tmp_path / "seq")
+    assert np.array_equal(back.pixels, frame.pixels)
 
 
 def test_sequence_empty_dir(tmp_path):

@@ -268,6 +268,17 @@ def test_scene_mapping_errors():
                                        "noise_sigma": sigma}))
 
 
+def test_scene_group_names_order_by_value():
+    # 5000 digits is past int()'s limit; each object's red channel is its
+    # place in the file
+    names = ("10", "1" * 5000, "9", "0")
+    pairs = {"width": "10", "height": "10", "nframes": "1"}
+    for i, name in enumerate(names):
+        pairs.update({f"object.{name}.color": f"{i} 0 0",
+                      f"object.{name}.size": "2 2", f"object.{name}.start": "0 0"})
+    assert [o.color[0] for o in scene_from_mapping(pairs).objects] == [3, 2, 0, 1]
+
+
 # Object names include 10, which sorts before 2 as text: the parsed order
 # must be numeric.  Person names put a digit name before a letter name.
 OBJECT_NAMES = ("1", "2", "10")
