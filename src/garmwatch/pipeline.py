@@ -4,10 +4,12 @@ Per frame the stages run in a fixed order: the background model classifies
 and updates, and one pass over the foreground pixels builds each configured
 color band's mask of pixels inside the band and above the binarize
 threshold.  Each mask is closed and labelled into regions (box and pixel
-count), small ones dropped, the rest clustered by bounding-box gap,
-clusters under person boxes discarded, and the survivors emitted as
-Detections.  No detections are emitted during the warmup span while the
-model absorbs the static scene, but the model still updates on it.
+count) inside its window only, the box around its set pixels grown by
+se_size, which gives the whole-frame result (see regions).  Small regions
+are dropped, the rest clustered by bounding-box gap, clusters under person
+boxes discarded, and the survivors emitted as Detections.  No detections
+are emitted during the warmup span while the model absorbs the static
+scene, but the model still updates on it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Pipeline:
         masks = colorseg.band_masks(frame, fg_mask, cfg.bands, cfg.binarize_threshold)
         for band, mask in zip(cfg.bands, masks):
             found = regions.filter_small(
-                regions.components(regions.close(mask, cfg.se_size)), self.min_area)
+                regions.closed_regions(mask, cfg.se_size), self.min_area)
             clusters = cluster.cluster_contours(found, band.label, self.gap_threshold)
             clusters = cluster.exclude_persons(clusters, persons, cfg.containment_min)
             detections.extend(cluster.to_detections(clusters, frame.index, frame_area))

@@ -10,7 +10,19 @@ Closing is a separable running max then min (van Herk 1992, Gil-Werman
 1993).  Dilation treats pixels outside the image as background; erosion
 treats them as foreground.  That pairing makes the two operators an
 adjunction on the image lattice, so closing is extensive and idempotent,
-holes against the image border included.
+holes against the image border included.  An element longer than
+2·max(h, w) − 1 spans the whole mask from every pixel, so it closes like
+that length, and close caps it there.
+
+closed_regions closes and labels a band only inside its window: the
+bounding box of the set pixels, grown by se_size on each side and clipped
+to the image.  That equals components(close(mask)) with the boxes shifted
+by the window's origin.  Outside the window the dilation is 0, so the
+closing is too.  A pixel within se_size // 2 of a window edge that is not
+an image edge lies more than se_size // 2 from every set pixel, so its
+dilation, and with it its closing, is 0 whatever the erosion reads past
+that edge.  Image edges keep their border rule.  Shifting a mask keeps the
+raster order in which components are labelled and their (y, x) order.
 """
 
 from __future__ import annotations
@@ -53,13 +65,18 @@ def binarize(gframe: np.ndarray, threshold: int) -> np.ndarray:
     return np.asarray(gframe) > threshold
 
 
-def close(mask: np.ndarray, se_size: int = 5) -> np.ndarray:
-    """Morphological closing with a square structuring element."""
+def _check_se_size(se_size: int) -> None:
     if se_size < 3 or se_size % 2 == 0:
         raise ValidationError(f"structuring element size must be odd and >= 3, got {se_size}")
-    dilated = ndimage.maximum_filter(np.asarray(mask, dtype=bool), se_size,
-                                     mode="constant", cval=0)
-    return ndimage.minimum_filter(dilated, se_size, mode="constant", cval=1)
+
+
+def close(mask: np.ndarray, se_size: int = 5) -> np.ndarray:
+    """Morphological closing with a square structuring element."""
+    _check_se_size(se_size)
+    mask = np.asarray(mask, dtype=bool)
+    size = min(se_size, max(3, 2 * max(mask.shape) - 1))
+    dilated = ndimage.maximum_filter(mask, size, mode="constant", cval=0)
+    return ndimage.minimum_filter(dilated, size, mode="constant", cval=1)
 
 
 def components(mask: np.ndarray) -> list[Region]:
@@ -71,6 +88,23 @@ def components(mask: np.ndarray) -> list[Region]:
              for lab, (sy, sx) in enumerate(ndimage.find_objects(labels), start=1)]
     found.sort(key=lambda r: (r.bbox.y, r.bbox.x))
     return found
+
+
+def closed_regions(mask: np.ndarray, se_size: int = 5) -> list[Region]:
+    """components(close(mask, se_size)), closed and labelled inside the window
+    of the mask's set pixels; [] without closing for an empty mask."""
+    _check_se_size(se_size)
+    mask = np.asarray(mask, dtype=bool)
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return []
+    y0 = max(int(rows[0]) - se_size, 0)
+    y1 = min(int(rows[-1]) + 1 + se_size, mask.shape[0])
+    cols = np.flatnonzero(mask[rows[0]:rows[-1] + 1].any(axis=0))
+    x0 = max(int(cols[0]) - se_size, 0)
+    x1 = min(int(cols[-1]) + 1 + se_size, mask.shape[1])
+    return [Region(BoundingBox(r.bbox.x + x0, r.bbox.y + y0, r.bbox.w, r.bbox.h), r.area)
+            for r in components(close(mask[y0:y1, x0:x1], se_size))]
 
 
 def _trace_boundary(padded: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:

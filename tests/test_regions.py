@@ -10,6 +10,7 @@ from scipy import ndimage
 from garmwatch import (Region, ValidationError, binarize, close, components, filter_small,
                        trace_contours)
 from garmwatch.frameio import BoundingBox
+from garmwatch.regions import closed_regions
 
 
 def flood_fill_components(mask):
@@ -86,6 +87,8 @@ def test_close_extensive_and_idempotent():
 def test_close_rejects_even_element():
     with pytest.raises(ValidationError):
         close(np.zeros((4, 4), bool), 4)
+    with pytest.raises(ValidationError):
+        closed_regions(np.zeros((4, 4), bool), 4)
 
 
 def test_close_preserves_border_foreground():
@@ -116,6 +119,37 @@ def test_close_matches_binary_morphology(mask, se):
     got = close(mask, se)
     assert got.dtype == bool and got.shape == mask.shape
     assert np.array_equal(got, want)
+
+
+@st.composite
+def framed_masks(draw):
+    """A mask of 1..16 per side (empty, full or random) inside 0..12 rows or
+    columns of background on each side, so it touches 0 to 4 image borders;
+    1xN and Nx1 masks come from one-row or one-column cores with no margin."""
+    core = draw(masks())[:16, :16]
+    top, bottom, left, right = (draw(st.integers(0, 12)) for _ in range(4))
+    return np.pad(core, ((top, bottom), (left, right)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(framed_masks(), st.sampled_from([None, 10001, 10**7 + 1]))
+def test_close_with_an_element_past_the_mask(mask, se):
+    # An element of 2*max(h, w) - 1 (None draws that length) or longer
+    # reaches the whole mask from every pixel.  The reference runs the
+    # filters at 10001, uncapped.
+    se = se or max(3, 2 * max(mask.shape) - 1)
+    want = ndimage.minimum_filter(ndimage.maximum_filter(mask, 10001, mode="constant", cval=0),
+                                  10001, mode="constant", cval=1)
+    assert np.array_equal(want, np.full(mask.shape, mask.any()))
+    assert np.array_equal(close(mask, se), want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(framed_masks(), st.sampled_from([3, 5, 7, 9, 81]))
+def test_closed_regions_match_whole_frame(mask, se):
+    # 81 is longer than either side of any drawn image (at most 40).
+    got = [(r.bbox, r.area) for r in closed_regions(mask, se)]
+    assert got == [(r.bbox, r.area) for r in components(close(mask, se))]
 
 
 # ---------------------------------------------------------------------------
