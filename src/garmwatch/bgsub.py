@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import PipelineConfig, physical_memory
-from .errors import ConfigError, ShapeError
+from .errors import ClosedError, ConfigError, ShapeError
 from .frameio import Frame
 
 
@@ -39,11 +39,15 @@ class BackgroundModel:
     """Per-pixel adaptive Gaussian mixture over a fixed-size frame grid.
 
     State lives in slot-major flat arrays, pixels row-major within a slot:
-    ``weight`` and ``variance`` are (max_components, npixels), ``mean`` is
-    (max_components, npixels, 3), ``ncomp`` counts live components per
-    pixel.  Slot-major keeps every per-slot pass over contiguous memory.
-    Slots past ncomp hold weight 0 and are ignored.  Each pixel's slots are
-    kept sorted by descending weight (stable, so ties keep their order).
+    ``weight`` and ``variance`` are (max_components, npixels), ``ncomp``
+    counts live components per pixel.  The means are stored channel-planar
+    as (max_components, 3, npixels); ``mean`` is its writable
+    (max_components, npixels, 3) view, so ``mean[k, i]`` is the RGB mean of
+    slot k at pixel i.  Slot-major and planar keep every per-slot pass over
+    contiguous memory, and the update gathers and scatters each pixel's
+    matched slot by flat index into the full arrays.  Slots past ncomp hold
+    weight 0 and are ignored.  Each pixel's slots are kept sorted by
+    descending weight (stable, so ties keep their order).
     """
 
     def __init__(self, width: int, height: int, config: PipelineConfig | None = None,
@@ -77,7 +81,8 @@ class BackgroundModel:
         n = width * height
         m = self.max_components
         self.weight = np.zeros((m, n))
-        self.mean = np.zeros((m, n, 3))
+        self._planes = np.zeros((m, 3, n))
+        self.mean = self._planes.transpose(0, 2, 1)
         self.variance = np.ones((m, n))
         self.weight[0] = 1.0
         self.variance[0] = self.var_init
@@ -86,6 +91,7 @@ class BackgroundModel:
         self._strips = min(len(os.sched_getaffinity(0)), height)
         self._pool = (ThreadPoolExecutor(self._strips - 1, "garmwatch-bgsub")
                       if self._strips > 1 else None)
+        self._closed = False
 
     def _check_frame(self, frame: Frame) -> None:
         if (frame.width, frame.height) != (self.width, self.height):
@@ -99,6 +105,8 @@ class BackgroundModel:
         Returns the foreground mask as a bool array of shape (height, width),
         True = foreground.
         """
+        if self._closed:
+            raise ClosedError("background model is closed")
         self._check_frame(frame)
         pixels = frame.pixels.reshape(-1, 3)
         fg = np.empty(len(pixels), dtype=bool)
@@ -118,19 +126,24 @@ class BackgroundModel:
         """Classify and update pixels lo..hi-1 into fg[lo:hi], touching only
         their columns of the state, so spans never share a write."""
         eta = self.learning_rate
-        weight, mean, variance = (a[:, lo:hi] for a in (self.weight, self.mean, self.variance))
+        weight, variance = self.weight[:, lo:hi], self.variance[:, lo:hi]
+        planes = self._planes[:, :, lo:hi]
         ncomp = self.ncomp[lo:hi]
         m, n = weight.shape
-        x = pixels[lo:hi].astype(np.float64)
+        x = np.ascontiguousarray(pixels[lo:hi].T, dtype=np.float64)
 
         # slots at or past ncomp carry weight exactly 0 and are masked out,
-        # so every read can stop at the widest live prefix
+        # so every read can stop at the widest live prefix.  Channels add up
+        # as (d0² + d2²) + d1², the order in which einsum("nc,nc->n") sums an
+        # (n, 3) row, so results stay those of the pixel-interleaved layout
         kmax = int(ncomp.max())
-        d2 = np.empty((kmax, n))
-        diff = np.empty_like(x)
+        d2 = np.zeros((kmax, n))
+        diff = np.empty(n)
         for k in range(kmax):
-            np.subtract(x, mean[k], out=diff)
-            d2[k] = np.einsum("nc,nc->n", diff, diff)
+            for c in (0, 2, 1):
+                np.subtract(x[c], planes[k, c], out=diff)
+                np.multiply(diff, diff, out=diff)
+                d2[k] += diff
         matched = d2 <= 3.0 * self.match_threshold ** 2 * variance[:kmax]
         if int(ncomp.min()) < kmax:
             matched &= np.arange(kmax)[:, None] < ncomp
@@ -140,7 +153,8 @@ class BackgroundModel:
         wpre = weight[:kmax]
         before = np.empty_like(wpre)
         before[0] = 0.0
-        np.cumsum(wpre[:-1], axis=0, out=before[1:])
+        for k in range(1, kmax):  # the sums of cumsum(axis=0), which is slower
+            np.add(before[k - 1], wpre[k - 1], out=before[k])
         in_background = before <= 1.0 - self.background_fraction
         bg = (matched & in_background).any(axis=0)
 
@@ -161,20 +175,33 @@ class BackgroundModel:
             kept = wpre[:, missed]
             np.multiply(wpre, 1.0 - eta, out=wpre)
             wpre[:, missed] = kept
-            w_new = weight[closest, rows] + eta
-            weight[closest, rows] = w_new
+            # gather and scatter the matched slot by flat index into the full
+            # arrays, which are contiguous where the strip views are not:
+            # slot k of pixel i sits at k·N + i, channel c of its mean at
+            # k·3N + c·N + i; delta·delta adds up in the order d2 does
+            npx = self.weight.shape[1]
+            at = closest * npx + (lo + rows)
+            w_new = np.take(self.weight, at) + eta
+            np.put(self.weight, at, w_new)
             rho = eta / w_new
-            delta = (x if rows.size == n else x[rows]) - mean[closest, rows]
-            mean[closest, rows] += rho[:, None] * delta
-            v = variance[closest, rows]
-            v = v + rho * (np.einsum("nc,nc->n", delta, delta) / 3.0 - v)
-            variance[closest, rows] = np.clip(v, self.var_min, self.var_max)
+            xr = x if rows.size == n else np.take(x, rows, axis=1)
+            at_mean = closest * 3 * npx + (lo + rows)
+            dd = []
+            for c in range(3):
+                mu = np.take(self._planes, at_mean)
+                delta = xr[c] - mu
+                np.put(self._planes, at_mean, mu + rho * delta)
+                dd.append(delta * delta)
+                at_mean += npx
+            v = np.take(self.variance, at)
+            v = v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v)
+            np.put(self.variance, at, np.clip(v, self.var_min, self.var_max))
 
         if missed.size:
             nc = ncomp[missed]
             slot = np.where(nc < m, nc, m - 1)
             weight[slot, missed] = eta
-            mean[slot, missed] = x[missed]
+            planes[slot, :, missed] = x[:, missed].T
             variance[slot, missed] = self.var_init
             ncomp[missed] = np.minimum(nc + 1, m)
             weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
@@ -191,12 +218,14 @@ class BackgroundModel:
                 weight[:kmax, unsorted] = np.take_along_axis(w, order, axis=0)
                 variance[:kmax, unsorted] = np.take_along_axis(
                     variance[:kmax, unsorted], order, axis=0)
-                mean[:kmax, unsorted] = np.take_along_axis(
-                    mean[:kmax, unsorted], order[:, :, None], axis=0)
+                planes[:kmax, :, unsorted] = np.take_along_axis(
+                    planes[:kmax, :, unsorted], order[:, None, :], axis=0)
         fg[lo:hi] = ~bg
 
     def close(self) -> None:
-        """Shut down the strip threads; call once the model is done."""
+        """Shut down the strip threads; call once the model is done.  Any
+        later update raises ClosedError."""
+        self._closed = True
         if self._pool is not None:
             self._pool.shutdown()
 

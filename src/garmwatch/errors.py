@@ -38,6 +38,10 @@ class ShapeError(GarmwatchError):
     """Two rasters (or a raster and a model) disagree on dimensions."""
 
 
+class ClosedError(GarmwatchError):
+    """An object was used after its close()."""
+
+
 class ConfigError(GarmwatchError):
     """A configuration file or parameter set is invalid."""
 

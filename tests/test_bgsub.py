@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
-from garmwatch import (BackgroundModel, ConfigError, Frame, PipelineConfig, ShapeError,
-                       apply_mask)
+from garmwatch import (BackgroundModel, ClosedError, ConfigError, Frame, PipelineConfig,
+                       ShapeError, apply_mask)
 
 
 def gray_frame(value, w=4, h=3, index=0):
@@ -23,12 +23,20 @@ def gray_frame(value, w=4, h=3, index=0):
 def test_init_state():
     m = BackgroundModel(2, 2)
     assert m.weight.shape == (5, 4)
+    assert m.variance.shape == (5, 4)
+    assert m.mean.shape == (5, 4, 3)
+    assert m.ncomp.shape == (4,)
     assert np.all(m.weight[0] == 1.0)
     assert np.all(m.weight[1:] == 0.0)
     assert np.all(m.mean == 0.0)
     assert np.all(m.variance[0] == 225.0)
     assert np.all(m.ncomp == 1)
     assert m.frames_seen == 0
+    # mean is a writable view of the model's own state
+    m.mean[0, 3] = (10.0, 20.0, 30.0)
+    want = (2 * np.pi * m.var_init) ** -1.5
+    assert m.likelihood((10, 20, 30), (1, 1)) == pytest.approx(want, rel=1e-12)
+    assert m.likelihood((10, 20, 30), (0, 1)) < want
 
 
 def test_learning_rate_from_history():
@@ -271,11 +279,11 @@ def palette_frames(script, seed):
     return [Frame(i, p) for i, p in enumerate(pixels)]
 
 
-def strip_model(strips, width, height, **overrides):
+def strip_model(strips, width, height, model=BackgroundModel, **overrides):
     """A model built as on a host with `strips` usable CPUs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(strips)))
-        return BackgroundModel(width, height, **overrides)
+        return model(width, height, **overrides)
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,6 +342,162 @@ def test_strip_count_does_not_change_the_result():
             assert all(np.array_equal(a, b) for a, b in zip(state, want_state)), strips
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("strips", [1, 2])
+def test_update_after_close_raises(strips):
+    m = strip_model(strips, 4, 3)
+    assert m._strips == strips
+    m.update(gray_frame(0))
+    m.close()
+    with pytest.raises(ClosedError, match="closed"):
+        m.update(gray_frame(0, index=1))
+    assert m.frames_seen == 1
+
+
+# ---------------------------------------------------------------------------
+# The update body against its fancy-index form, bit for bit
+
+class FancyIndexModel(BackgroundModel):
+    """The update with fancy-index gather and scatter of the matched slot and
+    einsum distances over (n, 3) rows.  It does the same arithmetic in the
+    same order as the model's own body, so the two must agree exactly."""
+
+    def _update_span(self, pixels, fg, lo, hi):
+        eta = self.learning_rate
+        weight, mean, variance = (a[:, lo:hi] for a in (self.weight, self.mean, self.variance))
+        ncomp = self.ncomp[lo:hi]
+        m, n = weight.shape
+        x = pixels[lo:hi].astype(np.float64)
+
+        kmax = int(ncomp.max())
+        d2 = np.empty((kmax, n))
+        diff = np.empty_like(x)
+        for k in range(kmax):
+            np.subtract(x, mean[k], out=diff)
+            d2[k] = np.einsum("nc,nc->n", diff, diff)
+        matched = d2 <= 3.0 * self.match_threshold ** 2 * variance[:kmax]
+        if int(ncomp.min()) < kmax:
+            matched &= np.arange(kmax)[:, None] < ncomp
+
+        wpre = weight[:kmax]
+        before = np.empty_like(wpre)
+        before[0] = 0.0
+        np.cumsum(wpre[:-1], axis=0, out=before[1:])
+        in_background = before <= 1.0 - self.background_fraction
+        bg = (matched & in_background).any(axis=0)
+
+        has_match = matched.any(axis=0)
+        rows = np.flatnonzero(has_match)
+        missed = np.flatnonzero(~has_match)
+        if rows.size:
+            closest = np.zeros(n, dtype=np.int64)
+            d2[~matched] = np.inf
+            best = d2[0].copy()
+            for k in range(1, kmax):
+                better = d2[k] < best
+                closest[better] = k
+                np.minimum(best, d2[k], out=best)
+            closest = closest[rows]
+
+            kept = wpre[:, missed]
+            np.multiply(wpre, 1.0 - eta, out=wpre)
+            wpre[:, missed] = kept
+            w_new = weight[closest, rows] + eta
+            weight[closest, rows] = w_new
+            rho = eta / w_new
+            delta = (x if rows.size == n else x[rows]) - mean[closest, rows]
+            mean[closest, rows] += rho[:, None] * delta
+            v = variance[closest, rows]
+            v = v + rho * (np.einsum("nc,nc->n", delta, delta) / 3.0 - v)
+            variance[closest, rows] = np.clip(v, self.var_min, self.var_max)
+
+        if missed.size:
+            nc = ncomp[missed]
+            slot = np.where(nc < m, nc, m - 1)
+            weight[slot, missed] = eta
+            mean[slot, missed] = x[missed]
+            variance[slot, missed] = self.var_init
+            ncomp[missed] = np.minimum(nc + 1, m)
+            weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
+            kmax = int(ncomp.max())
+
+        if kmax > 1:
+            wpre = weight[:kmax]
+            unsorted = np.flatnonzero((wpre[1:] > wpre[:-1]).any(axis=0))
+            if unsorted.size:
+                w = weight[:kmax, unsorted]
+                order = np.argsort(-w, axis=0, kind="stable")
+                weight[:kmax, unsorted] = np.take_along_axis(w, order, axis=0)
+                variance[:kmax, unsorted] = np.take_along_axis(
+                    variance[:kmax, unsorted], order, axis=0)
+                mean[:kmax, unsorted] = np.take_along_axis(
+                    mean[:kmax, unsorted], order[:, :, None], axis=0)
+        fg[lo:hi] = ~bg
+
+
+@st.composite
+def frame_runs(draw, h, w):
+    """Pixel arrays for a run of frames, drawn as blocks of two kinds:
+    palette scripts that fill pixels to capacity and replace, and uniform
+    gray with sigma-8 noise, whose level steps put d2 near the threshold."""
+    frames = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            script = draw(hnp.arrays(np.int64, (draw(st.integers(1, 8)), h, w),
+                                     elements=st.integers(0, len(PALETTE) - 1)))
+            frames += [f.pixels for f in palette_frames(script, draw(st.integers(0, 99)))]
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 99)))
+            for level in draw(st.lists(st.integers(0, 255), min_size=1, max_size=6)):
+                noisy = rng.normal(level, 8.0, size=(h, w, 3)).round()
+                frames.append(np.clip(noisy, 0, 255).astype(np.uint8))
+    return frames
+
+
+def put_on_edge(model, pixels, seed):
+    """Give every pixel two slots whose differences from its value in
+    `pixels` are exactly (a, b, c) and (c, b, a), random per pixel, so their
+    squared distances tie when summed as (d0² + d2²) + d1², and a variance
+    that puts that distance on the match threshold, or within an ulp of it.
+    The offsets lie on a 2^-30 grid below 64, so pixel minus mean is exact."""
+    x = pixels.reshape(-1, 3).astype(np.float64)
+    a, b, c = np.random.default_rng(seed).integers(1, 64 * 2**30, (3, len(x))) / 2**30
+    model.ncomp[:] = 2
+    model.weight[:2] = 0.5
+    model.mean[0] = x - np.stack([a, b, c], axis=1)
+    model.mean[1] = x - np.stack([c, b, a], axis=1)
+    d2 = (a * a + c * c) + b * b
+    scale = 3.0 * model.match_threshold ** 2
+    var = d2 / scale
+    for nudged in (np.nextafter(var, 0.0), np.nextafter(var, np.inf)):
+        var = np.where((scale * var != d2) & (scale * nudged == d2), nudged, var)
+    model.variance[:2] = var
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_update_body_matches_fancy_index_form_exactly(data):
+    w, h = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 7))
+    frames = data.draw(frame_runs(h, w))
+    strips = data.draw(st.integers(1, 3))
+    params = dict(history_length=data.draw(st.integers(2, 30)),
+                  max_components=data.draw(st.integers(1, 5)))
+    model = strip_model(strips, w, h, **params)
+    ref = strip_model(strips, w, h, FancyIndexModel, **params)
+    if params["max_components"] > 1 and data.draw(st.booleans()):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        put_on_edge(model, frames[0], seed)
+        put_on_edge(ref, frames[0], seed)
+    try:
+        for i, pixels in enumerate(frames):
+            frame = Frame(i, pixels)
+            assert np.array_equal(model.update(frame), ref.update(frame)), i
+            for name in ("weight", "mean", "variance", "ncomp"):
+                assert np.array_equal(getattr(model, name), getattr(ref, name)), (i, name)
+    finally:
+        model.close()
+        ref.close()
 
 
 # ---------------------------------------------------------------------------
