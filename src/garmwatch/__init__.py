@@ -13,9 +13,8 @@ from .bgsub import BackgroundModel, apply_mask
 from .cluster import RegionCluster, box_gap, cluster_contours, exclude_persons, to_detections
 from .colorseg import DEFAULT_BANDS, ColorBand, color_mask, masked_to_gray, rgb_to_hsv
 from .config import PipelineConfig
-from .errors import (ClosedError, ConfigError, FormatError, GarmwatchError, ParseError,
-                     SceneError, SequenceError, ShapeError, StreamError,
-                     ValidationError)
+from .errors import (ConfigError, FormatError, GarmwatchError, ParseError, SceneError,
+                     SequenceError, ShapeError, StreamError, ValidationError)
 from .frameio import Annotation, BoundingBox, Detection, Frame, PersonBoxes
 from .metrics import EvalCounts, EvalReport, evaluate, iou, match_frame, pr_curve
 from .pipeline import Pipeline, iter_sequence, process_sequence
@@ -25,7 +24,7 @@ from .synth import SceneObject, ScenePerson, SceneSpec, generate, generate_frame
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annotation", "BackgroundModel", "BoundingBox", "ClosedError", "ColorBand", "ConfigError",
+    "Annotation", "BackgroundModel", "BoundingBox", "ColorBand", "ConfigError",
     "Contour", "DEFAULT_BANDS", "Detection", "EvalCounts", "EvalReport",
     "FormatError", "Frame", "GarmwatchError", "ParseError", "PersonBoxes",
     "Pipeline", "PipelineConfig", "Region", "RegionCluster", "SceneError", "SceneObject",

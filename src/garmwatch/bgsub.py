@@ -20,6 +20,8 @@ remain.  Components are never deleted.  The whole update is deterministic.
 
 No pixel reads another's mixture, so pixels are updated in parallel row
 strips, one per usable CPU; the result does not depend on the strip count.
+All strips but the caller's run on a thread pool that the model owns; its
+threads end when the model is freed, so there is nothing to close.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import PipelineConfig, physical_memory
-from .errors import ClosedError, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 from .frameio import Frame
 
 
@@ -47,7 +49,8 @@ class BackgroundModel:
     contiguous memory, and the update gathers and scatters each pixel's
     matched slot by flat index into the full arrays.  Slots past ncomp hold
     weight 0 and are ignored.  Each pixel's slots are kept sorted by
-    descending weight (stable, so ties keep their order).
+    descending weight (stable, so ties keep their order).  The strip
+    threads end when the model is freed.
     """
 
     def __init__(self, width: int, height: int, config: PipelineConfig | None = None,
@@ -89,9 +92,7 @@ class BackgroundModel:
         self.ncomp = np.ones(n, dtype=np.int64)
         # row strips run in parallel because numpy releases the GIL
         self._strips = min(len(os.sched_getaffinity(0)), height)
-        self._pool = (ThreadPoolExecutor(self._strips - 1, "garmwatch-bgsub")
-                      if self._strips > 1 else None)
-        self._closed = False
+        self._pool = ThreadPoolExecutor(max(self._strips - 1, 1), "garmwatch-bgsub")
 
     def _check_frame(self, frame: Frame) -> None:
         if (frame.width, frame.height) != (self.width, self.height):
@@ -105,8 +106,6 @@ class BackgroundModel:
         Returns the foreground mask as a bool array of shape (height, width),
         True = foreground.
         """
-        if self._closed:
-            raise ClosedError("background model is closed")
         self._check_frame(frame)
         pixels = frame.pixels.reshape(-1, 3)
         fg = np.empty(len(pixels), dtype=bool)
@@ -221,13 +220,6 @@ class BackgroundModel:
                 planes[:kmax, :, unsorted] = np.take_along_axis(
                     planes[:kmax, :, unsorted], order[:, None, :], axis=0)
         fg[lo:hi] = ~bg
-
-    def close(self) -> None:
-        """Shut down the strip threads; call once the model is done.  Any
-        later update raises ClosedError."""
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown()
 
     def likelihood(self, x, px: tuple[int, int]) -> float:
         """Mixture density at RGB value x for the pixel at (x, y) = px."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -124,6 +125,14 @@ class PersonBoxes:
 
     frame_index: int
     boxes: list[BoundingBox] = field(default_factory=list)
+
+
+def _opened(target: str | os.PathLike | IO, mode: str):
+    """A context yielding target itself when it is a file object, else the
+    file at that path opened in mode (UTF-8 for text modes)."""
+    if hasattr(target, "read" if "r" in mode else "write"):
+        return nullcontext(target)
+    return open(target, mode, encoding=None if "b" in mode else "utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -232,55 +241,50 @@ def _read_header_line(f: IO[bytes], source: str) -> str:
 
 def read_raw_stream(source: str | os.PathLike | IO[bytes]) -> Iterator[Frame]:
     """Yield the frames of a GWVS1 raw stream (path or binary file object)."""
-    if not hasattr(source, "read"):
-        with open(source, "rb") as f:
-            yield from read_raw_stream(f)
-        return
-    name = getattr(source, "name", "<stream>")
-    fields = _read_header_line(source, name).split()
-    if len(fields) != 5 or fields[0] != GWVS1_MAGIC:
-        raise FormatError(f"{name}: bad GWVS1 header {fields!r}")
-    try:
-        width, height, fps, nframes = (int(v) for v in fields[1:])
-    except ValueError:
-        raise FormatError(f"{name}: non-numeric GWVS1 header fields") from None
-    if width < 1 or height < 1 or fps < 1 or nframes < 0:
-        raise FormatError(f"{name}: invalid GWVS1 header values")
-    frame_size = width * height * 3
-    received = 0
-    for i in range(nframes):
-        # Bounded reads: a header cannot make one read allocate more than
-        # the source delivers, seekable or not.
-        parts, want = [], frame_size
-        while want and (part := source.read(min(want, 1 << 24))):
-            parts.append(part)
-            want -= len(part)
-        data = b"".join(parts)
-        received += len(data)
-        if len(data) != frame_size:
-            raise StreamError(expected=nframes * frame_size, got=received)
-        pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-        yield Frame(i, pixels.copy())
+    with _opened(source, "rb") as f:
+        name = getattr(f, "name", "<stream>")
+        fields = _read_header_line(f, name).split()
+        if len(fields) != 5 or fields[0] != GWVS1_MAGIC:
+            raise FormatError(f"{name}: bad GWVS1 header {fields!r}")
+        try:
+            width, height, fps, nframes = (int(v) for v in fields[1:])
+        except ValueError:
+            raise FormatError(f"{name}: non-numeric GWVS1 header fields") from None
+        if width < 1 or height < 1 or fps < 1 or nframes < 0:
+            raise FormatError(f"{name}: invalid GWVS1 header values")
+        frame_size = width * height * 3
+        received = 0
+        for i in range(nframes):
+            # Bounded reads: a header cannot make one read allocate more than
+            # the source delivers, seekable or not.
+            parts, want = [], frame_size
+            while want and (part := f.read(min(want, 1 << 24))):
+                parts.append(part)
+                want -= len(part)
+            data = b"".join(parts)
+            received += len(data)
+            if len(data) != frame_size:
+                raise StreamError(expected=nframes * frame_size, got=received)
+            pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
+            yield Frame(i, pixels.copy())
 
 
 def write_raw_stream(frames: Iterable[Frame], sink: str | os.PathLike | IO[bytes],
                      fps: int = 25) -> int:
     """Write frames as a GWVS1 stream; returns the frame count."""
     frames = list(frames)
-    if not hasattr(sink, "write"):
-        with open(sink, "wb") as f:
-            return write_raw_stream(frames, f, fps)
     if frames:
         width, height = frames[0].width, frames[0].height
     else:
         width = height = 1
-    sink.write(f"{GWVS1_MAGIC} {width} {height} {fps} {len(frames)}\n".encode("ascii"))
-    for frame in frames:
-        if (frame.width, frame.height) != (width, height):
-            raise ValidationError(
-                f"frame {frame.index}: size {frame.width}x{frame.height} "
-                f"differs from stream size {width}x{height}")
-        sink.write(np.ascontiguousarray(frame.pixels, dtype=np.uint8).tobytes())
+    with _opened(sink, "wb") as f:
+        f.write(f"{GWVS1_MAGIC} {width} {height} {fps} {len(frames)}\n".encode("ascii"))
+        for frame in frames:
+            if (frame.width, frame.height) != (width, height):
+                raise ValidationError(
+                    f"frame {frame.index}: size {frame.width}x{frame.height} "
+                    f"differs from stream size {width}x{height}")
+            f.write(np.ascontiguousarray(frame.pixels, dtype=np.uint8).tobytes())
     return len(frames)
 
 
@@ -349,12 +353,9 @@ def _box_entry(raw, lineno: int, scored: bool) -> tuple[BoundingBox, str | None,
 
 def _write_records(records: Iterable[dict], sink: str | os.PathLike | IO[str]) -> None:
     """Write one compact JSON line per record as each record arrives."""
-    if not hasattr(sink, "write"):
-        with open(sink, "w", encoding="utf-8") as f:
-            _write_records(records, f)
-        return
-    for rec in records:
-        sink.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    with _opened(sink, "w") as f:
+        for rec in records:
+            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def read_annotations(path: str | os.PathLike) -> list[Annotation]:

@@ -48,10 +48,6 @@ class Pipeline:
             detections.extend(cluster.to_detections(clusters, frame.index, frame_area))
         return detections
 
-    def close(self) -> None:
-        """Release the background model's threads."""
-        self.model.close()
-
 
 def iter_sequence(frames: Iterable[Frame],
                   persons: Iterable[PersonBoxes] | None = None,
@@ -63,25 +59,20 @@ def iter_sequence(frames: Iterable[Frame],
     must rise, as every frame reader yields them, and sidecar records must
     rise strictly (else ValidationError); frames without a sidecar entry
     get no person filtering.  After the last frame the rest of the sidecar is
-    read, so a bad record past the end still fails.  The pipeline is
-    closed when the stream ends, fails or the iterator is closed.
+    read, so a bad record past the end still fails.
     """
     records = _rising(persons or ())
     pending = next(records, None)
     pipeline = None
-    try:
-        for frame in frames:
-            if pipeline is None:
-                pipeline = Pipeline(frame.width, frame.height, config)
-            while pending is not None and pending.frame_index < frame.index:
-                pending = next(records, None)
-            match = pending if pending is not None and pending.frame_index == frame.index else None
-            yield frame, pipeline.process_frame(frame, match)
-        for _ in records:
-            pass
-    finally:
-        if pipeline is not None:
-            pipeline.close()
+    for frame in frames:
+        if pipeline is None:
+            pipeline = Pipeline(frame.width, frame.height, config)
+        while pending is not None and pending.frame_index < frame.index:
+            pending = next(records, None)
+        match = pending if pending is not None and pending.frame_index == frame.index else None
+        yield frame, pipeline.process_frame(frame, match)
+    for _ in records:
+        pass
 
 
 def _rising(persons: Iterable[PersonBoxes]) -> Iterator[PersonBoxes]:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
-from garmwatch import (BackgroundModel, ClosedError, ConfigError, Frame, PipelineConfig,
-                       ShapeError, apply_mask)
+from garmwatch import (BackgroundModel, ConfigError, Frame, PipelineConfig, ShapeError,
+                       apply_mask)
 
 
 def gray_frame(value, w=4, h=3, index=0):
@@ -298,21 +298,18 @@ def test_every_pixel_matches_reference_recurrence(data):
                   mmax=m.max_components, var_init=m.var_init, var_min=m.var_min,
                   var_max=m.var_max, w_init=m.learning_rate)
     comps = [[[1.0, (0.0, 0.0, 0.0), m.var_init]] for _ in range(w * h)]
-    try:
-        for frame in frames:
-            fg = m.update(frame).ravel()
-            for i, x in enumerate(frame.pixels.reshape(-1, 3)):
-                want_fg, comps[i] = reference_update(comps[i], x, **params)
-                assert fg[i] == want_fg, f"frame {frame.index} pixel {i}"
-                live = len(comps[i])
-                assert m.ncomp[i] == live
-                assert np.all(m.weight[live:, i] == 0.0)
-                want_w, want_mean, want_var = (np.array(c) for c in zip(*comps[i]))
-                np.testing.assert_allclose(m.weight[:live, i], want_w, rtol=0, atol=1e-9)
-                np.testing.assert_allclose(m.mean[:live, i], want_mean, rtol=0, atol=1e-9)
-                np.testing.assert_allclose(m.variance[:live, i], want_var, rtol=0, atol=1e-9)
-    finally:
-        m.close()
+    for frame in frames:
+        fg = m.update(frame).ravel()
+        for i, x in enumerate(frame.pixels.reshape(-1, 3)):
+            want_fg, comps[i] = reference_update(comps[i], x, **params)
+            assert fg[i] == want_fg, f"frame {frame.index} pixel {i}"
+            live = len(comps[i])
+            assert m.ncomp[i] == live
+            assert np.all(m.weight[live:, i] == 0.0)
+            want_w, want_mean, want_var = (np.array(c) for c in zip(*comps[i]))
+            np.testing.assert_allclose(m.weight[:live, i], want_w, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(m.mean[:live, i], want_mean, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(m.variance[:live, i], want_var, rtol=0, atol=1e-9)
 
 
 def test_strip_count_does_not_change_the_result():
@@ -323,10 +320,7 @@ def test_strip_count_does_not_change_the_result():
     def run(strips):
         m = strip_model(strips, w, h, history_length=20)
         assert m._strips == strips
-        try:
-            masks = [m.update(f) for f in frames]
-        finally:
-            m.close()
+        masks = [m.update(f) for f in frames]
         return masks, (m.weight, m.mean, m.variance, m.ncomp)
 
     want_masks, want_state = run(1)
@@ -344,15 +338,20 @@ def test_strip_count_does_not_change_the_result():
         sys.setswitchinterval(old)
 
 
-@pytest.mark.parametrize("strips", [1, 2])
-def test_update_after_close_raises(strips):
-    m = strip_model(strips, 4, 3)
-    assert m._strips == strips
-    m.update(gray_frame(0))
-    m.close()
-    with pytest.raises(ClosedError, match="closed"):
-        m.update(gray_frame(0, index=1))
-    assert m.frames_seen == 1
+@pytest.mark.parametrize("bad_lo", [0, 4], ids=["worker", "caller"])
+def test_a_failing_strip_fails_the_update(bad_lo):
+    """An error in either strip reaches the caller, and the frame is not counted."""
+    class FailingStrip(BackgroundModel):
+        def _update_span(self, pixels, fg, lo, hi):
+            if lo == bad_lo:
+                raise RuntimeError(f"strip at {lo} failed")
+            super()._update_span(pixels, fg, lo, hi)
+
+    m = strip_model(2, 4, 3, FailingStrip)  # strips at 0 (on the thread) and 4
+    assert m._strips == 2
+    with pytest.raises(RuntimeError, match=f"strip at {bad_lo} failed"):
+        m.update(gray_frame(0))
+    assert m.frames_seen == 0
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +488,11 @@ def test_update_body_matches_fancy_index_form_exactly(data):
         seed = data.draw(st.integers(0, 2**32 - 1))
         put_on_edge(model, frames[0], seed)
         put_on_edge(ref, frames[0], seed)
-    try:
-        for i, pixels in enumerate(frames):
-            frame = Frame(i, pixels)
-            assert np.array_equal(model.update(frame), ref.update(frame)), i
-            for name in ("weight", "mean", "variance", "ncomp"):
-                assert np.array_equal(getattr(model, name), getattr(ref, name)), (i, name)
-    finally:
-        model.close()
-        ref.close()
+    for i, pixels in enumerate(frames):
+        frame = Frame(i, pixels)
+        assert np.array_equal(model.update(frame), ref.update(frame)), i
+        for name in ("weight", "mean", "variance", "ncomp"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), (i, name)
 
 
 # ---------------------------------------------------------------------------

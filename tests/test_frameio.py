@@ -176,6 +176,22 @@ def test_raw_stream_round_trip():
         assert np.array_equal(a.pixels, b.pixels)
 
 
+def test_raw_stream_path_is_read_in_one_call(tmp_path, monkeypatch):
+    """A wrapper of the module's read_raw_stream sees one call per path read."""
+    path = tmp_path / "two.gwvs"
+    frameio.write_raw_stream([Frame(i, np.full((2, 3, 3), i, np.uint8)) for i in range(2)], path)
+    calls = []
+    read = frameio.read_raw_stream
+
+    def counting(source):
+        calls.append(source)
+        return read(source)
+
+    monkeypatch.setattr(frameio, "read_raw_stream", counting)
+    assert [f.index for f in frameio.read_raw_stream(path)] == [0, 1]
+    assert calls == [path]
+
+
 def test_raw_stream_header():
     buf = io.BytesIO()
     frameio.write_raw_stream([Frame(0, np.zeros((4, 5, 3), np.uint8))], buf, fps=25)

@@ -1,16 +1,19 @@
+import gc
 import io
 import os
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import garmwatch.pipeline
-from garmwatch import (Frame, PersonBoxes, Pipeline, PipelineConfig, SceneObject,
-                       ScenePerson, SceneSpec, StreamError, ValidationError, evaluate,
-                       generate_frames, iter_sequence, process_sequence, warmup_prefix)
+from garmwatch import (BackgroundModel, Frame, PersonBoxes, Pipeline, PipelineConfig,
+                       SceneObject, ScenePerson, SceneSpec, StreamError, ValidationError,
+                       evaluate, generate_frames, iter_sequence, process_sequence,
+                       warmup_prefix)
 from garmwatch.frameio import read_raw_stream, write_raw_stream
 
 WARMUP = 60
@@ -117,10 +120,7 @@ def test_sidecar_joins_by_frame_index():
     sparse = persons[::2] + [PersonBoxes(len(frames) + 5, [])]  # gaps, one past the end
     by_index = {p.frame_index: p for p in sparse}
     pipe = Pipeline(160, 120, CONFIG)
-    try:
-        expected = [d for f in frames for d in pipe.process_frame(f, by_index.get(f.index))]
-    finally:
-        pipe.close()
+    expected = [d for f in frames for d in pipe.process_frame(f, by_index.get(f.index))]
     assert process_sequence(frames, iter(sparse), config=CONFIG) == expected
     assert expected != process_sequence(frames, persons, config=CONFIG)
 
@@ -179,27 +179,42 @@ def threads_left(before, timeout=5.0):
 def test_no_thread_outlives_its_pipeline(monkeypatch):
     # two usable CPUs, so a 2-row frame is cut into two strips, one on a thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    kept = []  # keep every pipeline alive, so only closing it stops its thread
+    made = []  # weak references only, so nothing here keeps a pipeline alive
 
-    class KeptPipeline(Pipeline):
+    class TrackedPipeline(Pipeline):
         def __init__(self, *args):
             super().__init__(*args)
-            kept.append(self)
+            made.append(weakref.ref(self))
 
-    monkeypatch.setattr(garmwatch.pipeline, "Pipeline", KeptPipeline)
+    monkeypatch.setattr(garmwatch.pipeline, "Pipeline", TrackedPipeline)
     frames = [Frame(i, np.full((2, 8, 3), 40 * i, np.uint8)) for i in range(4)]
-    before = set(threading.enumerate())
-    process_sequence(frames, config=CONFIG)
-    assert not threads_left(before)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # reference counting alone must free each model and end its thread
+    try:
+        before = set(threading.enumerate())
+        process_sequence(frames, config=CONFIG)
+        assert len(made) == 1 and made[0]() is None
+        assert not threads_left(before)
 
-    stream = io.BytesIO()
-    write_raw_stream(frames, stream)
-    cut = io.BytesIO(stream.getvalue()[:-5])
-    seen = 0
-    with pytest.raises(StreamError):
-        for _ in iter_sequence(read_raw_stream(cut), config=CONFIG):
-            seen += 1
-            assert set(threading.enumerate()) - before  # the strip thread runs
-    assert seen == 3
-    assert not threads_left(before)
-    assert len(kept) == 2
+        stream = io.BytesIO()
+        write_raw_stream(frames, stream)
+        cut = io.BytesIO(stream.getvalue()[:-5])
+        seen = 0
+        with pytest.raises(StreamError):
+            for _ in iter_sequence(read_raw_stream(cut), config=CONFIG):
+                seen += 1
+                assert set(threading.enumerate()) - before  # the strip thread runs
+        assert seen == 3
+        assert len(made) == 2 and made[1]() is None
+        assert not threads_left(before)
+
+        model = BackgroundModel(8, 2, CONFIG)
+        model.update(frames[0])
+        assert set(threading.enumerate()) - before
+        freed = weakref.ref(model)
+        del model
+        assert freed() is None
+        assert not threads_left(before)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
