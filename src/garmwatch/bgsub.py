@@ -92,13 +92,9 @@ class BackgroundModel:
         self.ncomp = np.ones(n, dtype=np.int64)
         # row strips run in parallel because numpy releases the GIL
         self._strips = min(len(os.sched_getaffinity(0)), height)
+        cuts = [width * (height * s // self._strips) for s in range(self._strips + 1)]
+        self._spans = list(zip(cuts[:-1], cuts[1:]))
         self._pool = ThreadPoolExecutor(max(self._strips - 1, 1), "garmwatch-bgsub")
-
-    def _check_frame(self, frame: Frame) -> None:
-        if (frame.width, frame.height) != (self.width, self.height):
-            raise ShapeError(
-                f"frame is {frame.width}x{frame.height}, model is "
-                f"{self.width}x{self.height}")
 
     def update(self, frame: Frame) -> np.ndarray:
         """Classify the frame against the current model, then fold it in.
@@ -106,18 +102,23 @@ class BackgroundModel:
         Returns the foreground mask as a bool array of shape (height, width),
         True = foreground.
         """
-        self._check_frame(frame)
+        if (frame.width, frame.height) != (self.width, self.height):
+            raise ShapeError(
+                f"frame is {frame.width}x{frame.height}, model is "
+                f"{self.width}x{self.height}")
         pixels = frame.pixels.reshape(-1, 3)
         fg = np.empty(len(pixels), dtype=bool)
-        cuts = self.width * (self.height * np.arange(self._strips + 1) // self._strips)
+        *spans, last = self._spans
         futures = [self._pool.submit(self._update_span, pixels, fg, lo, hi)
-                   for lo, hi in zip(cuts[:-2], cuts[1:-1])]
+                   for lo, hi in spans]
         try:
-            self._update_span(pixels, fg, cuts[-2], cuts[-1])
+            self._update_span(pixels, fg, *last)
         finally:
             wait(futures)  # no strip may still write the state after update
-        for future in futures:
-            future.result()
+        # drop each future before it can raise: left in the list, a raised one
+        # would hold this frame, and so the model, through its traceback
+        while futures:
+            futures.pop().result()
         self.frames_seen += 1
         return fg.reshape(self.height, self.width)
 
@@ -144,8 +145,7 @@ class BackgroundModel:
                 np.multiply(diff, diff, out=diff)
                 d2[k] += diff
         matched = d2 <= 3.0 * self.match_threshold ** 2 * variance[:kmax]
-        if int(ncomp.min()) < kmax:
-            matched &= np.arange(kmax)[:, None] < ncomp
+        matched &= np.arange(kmax)[:, None] < ncomp
 
         # dead slots are already excluded through matched, so the prefix
         # test needs no live-slot mask of its own
@@ -157,68 +157,64 @@ class BackgroundModel:
         in_background = before <= 1.0 - self.background_fraction
         bg = (matched & in_background).any(axis=0)
 
+        # running minimum, strict < so ties keep the lowest slot
         has_match = matched.any(axis=0)
         rows = np.flatnonzero(has_match)
+        closest = np.zeros(n, dtype=np.int64)
+        d2[~matched] = np.inf
+        best = d2[0].copy()
+        for k in range(1, kmax):
+            better = d2[k] < best
+            closest[better] = k
+            np.minimum(best, d2[k], out=best)
+        closest = closest[rows]
+
+        # decay the pixels that matched, then gather and scatter the matched
+        # slot by flat index into the full arrays, which are contiguous where
+        # the strip views are not: slot k of pixel i sits at k·N + i, channel
+        # c of its mean at k·3N + c·N + i; delta·delta adds up in the order
+        # d2 does
+        np.multiply(wpre, 1.0 - eta, out=wpre, where=has_match)
+        npx = self.weight.shape[1]
+        at = closest * npx + (lo + rows)
+        w_new = np.take(self.weight, at) + eta
+        np.put(self.weight, at, w_new)
+        rho = eta / w_new
+        xr = np.take(x, rows, axis=1)
+        at_mean = closest * 3 * npx + (lo + rows)
+        dd = []
+        for c in range(3):
+            mu = np.take(self._planes, at_mean)
+            delta = xr[c] - mu
+            np.put(self._planes, at_mean, mu + rho * delta)
+            dd.append(delta * delta)
+            at_mean += npx
+        v = np.take(self.variance, at)
+        v = v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v)
+        np.put(self.variance, at, np.clip(v, self.var_min, self.var_max))
+
+        # an unmatched pixel takes a fresh component in its first free slot,
+        # or in its last (lowest-weight) one when full
         missed = np.flatnonzero(~has_match)
-        if rows.size:
-            # running minimum, strict < so ties keep the lowest slot
-            closest = np.zeros(n, dtype=np.int64)
-            d2[~matched] = np.inf
-            best = d2[0].copy()
-            for k in range(1, kmax):
-                better = d2[k] < best
-                closest[better] = k
-                np.minimum(best, d2[k], out=best)
-            closest = closest[rows]
-
-            kept = wpre[:, missed]
-            np.multiply(wpre, 1.0 - eta, out=wpre)
-            wpre[:, missed] = kept
-            # gather and scatter the matched slot by flat index into the full
-            # arrays, which are contiguous where the strip views are not:
-            # slot k of pixel i sits at k·N + i, channel c of its mean at
-            # k·3N + c·N + i; delta·delta adds up in the order d2 does
-            npx = self.weight.shape[1]
-            at = closest * npx + (lo + rows)
-            w_new = np.take(self.weight, at) + eta
-            np.put(self.weight, at, w_new)
-            rho = eta / w_new
-            xr = x if rows.size == n else np.take(x, rows, axis=1)
-            at_mean = closest * 3 * npx + (lo + rows)
-            dd = []
-            for c in range(3):
-                mu = np.take(self._planes, at_mean)
-                delta = xr[c] - mu
-                np.put(self._planes, at_mean, mu + rho * delta)
-                dd.append(delta * delta)
-                at_mean += npx
-            v = np.take(self.variance, at)
-            v = v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v)
-            np.put(self.variance, at, np.clip(v, self.var_min, self.var_max))
-
-        if missed.size:
-            nc = ncomp[missed]
-            slot = np.where(nc < m, nc, m - 1)
-            weight[slot, missed] = eta
-            planes[slot, :, missed] = x[:, missed].T
-            variance[slot, missed] = self.var_init
-            ncomp[missed] = np.minimum(nc + 1, m)
-            weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
-            kmax = int(ncomp.max())
+        nc = ncomp[missed]
+        slot = np.where(nc < m, nc, m - 1)
+        weight[slot, missed] = eta
+        planes[slot, :, missed] = x[:, missed].T
+        variance[slot, missed] = self.var_init
+        ncomp[missed] = np.minimum(nc + 1, m)
+        weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
 
         # only a weight bump or a fresh component can break the descending
         # order, so sort just the pixels where it actually broke
-        if kmax > 1:
-            wpre = weight[:kmax]
-            unsorted = np.flatnonzero((wpre[1:] > wpre[:-1]).any(axis=0))
-            if unsorted.size:
-                w = weight[:kmax, unsorted]
-                order = np.argsort(-w, axis=0, kind="stable")
-                weight[:kmax, unsorted] = np.take_along_axis(w, order, axis=0)
-                variance[:kmax, unsorted] = np.take_along_axis(
-                    variance[:kmax, unsorted], order, axis=0)
-                planes[:kmax, :, unsorted] = np.take_along_axis(
-                    planes[:kmax, :, unsorted], order[:, None, :], axis=0)
+        kmax = int(ncomp.max())
+        wpre = weight[:kmax]
+        unsorted = np.flatnonzero((wpre[1:] > wpre[:-1]).any(axis=0))
+        w = weight[:kmax, unsorted]
+        order = np.argsort(-w, axis=0, kind="stable")
+        weight[:kmax, unsorted] = np.take_along_axis(w, order, axis=0)
+        variance[:kmax, unsorted] = np.take_along_axis(variance[:kmax, unsorted], order, axis=0)
+        planes[:kmax, :, unsorted] = np.take_along_axis(
+            planes[:kmax, :, unsorted], order[:, None, :], axis=0)
         fg[lo:hi] = ~bg
 
     def likelihood(self, x, px: tuple[int, int]) -> float:

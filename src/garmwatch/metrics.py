@@ -111,18 +111,13 @@ def evaluate(detections: list[Detection], annotations: list[Annotation],
     """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
-    tp = fp = fn = 0
-    all_ious: list[float] = []
-    for det_boxes, gt_boxes in _by_frame(detections, annotations):
-        counts, ious = match_frame(det_boxes, gt_boxes, tau)
-        tp += counts.tp
-        fp += counts.fp
-        fn += counts.fn
-        all_ious.extend(ious)
-    mean_iou = sum(all_ious) / len(all_ious) if all_ious else 0.0
-    return EvalReport(EvalCounts(tp, fp, fn),
-                      precision=_ratio(tp, tp + fp, tp + fn),
-                      recall=_ratio(tp, tp + fn, tp + fp),
+    frames = _by_frame(detections, annotations)
+    all_ious = [v for dets, gts in frames for v in _greedy(_candidates(dets, gts), tau)]
+    tp, ndet, ngt = len(all_ious), len(detections), sum(len(gts) for _, gts in frames)
+    mean_iou = sum(all_ious) / tp if tp else 0.0
+    return EvalReport(EvalCounts(tp, ndet - tp, ngt - tp),
+                      precision=_ratio(tp, ndet, ngt),
+                      recall=_ratio(tp, ngt, ndet),
                       mean_iou=mean_iou, threshold=tau)
 
 

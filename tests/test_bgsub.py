@@ -1,10 +1,13 @@
+import gc
 import os
 import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
@@ -340,18 +343,33 @@ def test_strip_count_does_not_change_the_result():
 
 @pytest.mark.parametrize("bad_lo", [0, 4], ids=["worker", "caller"])
 def test_a_failing_strip_fails_the_update(bad_lo):
-    """An error in either strip reaches the caller, and the frame is not counted."""
+    """An error in either strip reaches the caller, and the frame is not
+    counted; reference counting alone then frees the model and its thread."""
     class FailingStrip(BackgroundModel):
         def _update_span(self, pixels, fg, lo, hi):
             if lo == bad_lo:
                 raise RuntimeError(f"strip at {lo} failed")
             super()._update_span(pixels, fg, lo, hi)
 
-    m = strip_model(2, 4, 3, FailingStrip)  # strips at 0 (on the thread) and 4
-    assert m._strips == 2
-    with pytest.raises(RuntimeError, match=f"strip at {bad_lo} failed"):
-        m.update(gray_frame(0))
-    assert m.frames_seen == 0
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = set(threading.enumerate())
+        m = strip_model(2, 4, 3, FailingStrip)  # strips at 0 (on the thread) and 4
+        assert m._strips == 2
+        with pytest.raises(RuntimeError, match=f"strip at {bad_lo} failed"):
+            m.update(gray_frame(0))
+        assert m.frames_seen == 0
+        assert set(threading.enumerate()) - before  # the strip thread ran
+        freed = weakref.ref(m)
+        del m
+        assert freed() is None
+        for thread in set(threading.enumerate()) - before:
+            thread.join(5.0)
+        assert not set(threading.enumerate()) - before
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +492,23 @@ def put_on_edge(model, pixels, seed):
     model.variance[:2] = var
 
 
+class Drawn:
+    """Stands in for st.data() in an @example: each draw returns the next
+    of the given values, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+# draws: w, h, frames, strips, history_length, max_components, then (when
+# max_components > 1) whether to put the first frame's pixels on the edge
 @settings(max_examples=60, deadline=None)
+@example(Drawn(4, 3, [gray_frame(0).pixels] * 3, 2, 10, 5, False))  # every pixel matches
+@example(Drawn(4, 3, [gray_frame(255).pixels] * 2, 2, 10, 5, False))  # none match, then all
+@example(Drawn(4, 3, [gray_frame(v).pixels for v in (0, 255, 128, 128)], 2, 10, 1))  # kmax 1
 @given(st.data())
 def test_update_body_matches_fancy_index_form_exactly(data):
     w, h = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 7))
