@@ -90,8 +90,11 @@ class BackgroundModel:
         self.weight[0] = 1.0
         self.variance[0] = self.var_init
         self.ncomp = np.ones(n, dtype=np.int64)
-        # row strips run in parallel because numpy releases the GIL
-        self._strips = min(len(os.sched_getaffinity(0)), height)
+        # row strips run in parallel because numpy releases the GIL;
+        # sched_getaffinity is missing on macOS and Windows
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        self._strips = min(cpus, height)
         cuts = [width * (height * s // self._strips) for s in range(self._strips + 1)]
         self._spans = list(zip(cuts[:-1], cuts[1:]))
         self._pool = ThreadPoolExecutor(max(self._strips - 1, 1), "garmwatch-bgsub")

@@ -30,29 +30,6 @@ class RegionCluster:
     total_area: int
 
 
-class UnionFind:
-    """Disjoint sets over range(n) with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def box_gap(a: BoundingBox, b: BoundingBox) -> float:
     """Euclidean gap between two rectangles; 0 when they touch or overlap."""
     dx = max(0, max(a.x, b.x) - min(a.x2, b.x2))
@@ -66,22 +43,24 @@ def cluster_contours(regions: list[Region], color_label: str,
 
     Two regions land in the same cluster iff they are connected through
     pairs whose box gap is <= gap_threshold.  Output ordered by
-    (bbox.y, bbox.x).
+    (bbox.y, bbox.x); clusters that tie keep the order of their lowest
+    input index, and each cluster's members keep input order.
     """
     if gap_threshold < 0:
         raise ValidationError(f"gap_threshold must be >= 0, got {gap_threshold}")
-    if not regions:
-        return []
-    uf = UnionFind(len(regions))
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            if box_gap(regions[i].bbox, regions[j].bbox) <= gap_threshold:
-                uf.union(i, j)
-    groups: dict[int, list[Region]] = {}
-    for i, region in enumerate(regions):
-        groups.setdefault(uf.find(i), []).append(region)
+    placed = [False] * len(regions)
     clusters = []
-    for members in groups.values():
+    for first in range(len(regions)):
+        if placed[first]:
+            continue
+        placed[first] = True
+        group = [first]
+        for i in group:  # the group grows while it is scanned
+            for j in range(first + 1, len(regions)):
+                if not placed[j] and box_gap(regions[i].bbox, regions[j].bbox) <= gap_threshold:
+                    placed[j] = True
+                    group.append(j)
+        members = [regions[i] for i in sorted(group)]
         bbox = members[0].bbox
         for m in members[1:]:
             bbox = bbox.cover(m.bbox)

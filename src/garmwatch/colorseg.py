@@ -81,17 +81,6 @@ def rgb_to_hsv(pixel) -> tuple[float, float, float]:
     return h, s, v
 
 
-def hsv_to_rgb(h: float, s: float, v: float) -> tuple[int, int, int]:
-    """Inverse hexcone conversion, rounded to 8-bit channels."""
-    c = v * s
-    hp = (h % 360.0) / 60.0
-    x = c * (1.0 - abs(hp % 2.0 - 1.0))
-    rgb = [(c, x, 0.0), (x, c, 0.0), (0.0, c, x),
-           (0.0, x, c), (x, 0.0, c), (c, 0.0, x)][int(hp) % 6]
-    m = v - c
-    return tuple(int(round((u + m) * 255.0)) for u in rgb)
-
-
 def _hsv_planes(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Vectorized hexcone conversion over uint8 RGB in the last axis.
     p = pixels.astype(np.float64) / 255.0

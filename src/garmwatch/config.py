@@ -148,7 +148,12 @@ class PipelineConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ConfigError(f"{f.name} must be finite, got an integer past "
+                                  "float range") from None
+            if not finite:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             if f.type.startswith("int") and not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{f.name} must be an integer, got {value}")

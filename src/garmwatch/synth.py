@@ -100,6 +100,8 @@ def _validate(spec: SceneSpec) -> None:
                          f"{physical_memory() / 2**30:.1f} GiB of physical memory")
     if spec.nframes < 0:
         raise SceneError(f"nframes must be >= 0, got {spec.nframes}")
+    if spec.seed < 0:
+        raise SceneError(f"seed must be >= 0, got {spec.seed}")
     if not 0 <= spec.noise_sigma < np.inf:
         raise SceneError(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
     if isinstance(spec.background, str):

@@ -341,6 +341,21 @@ def test_strip_count_does_not_change_the_result():
         sys.setswitchinterval(old)
 
 
+def test_strips_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; the CPU count stands in
+    w, h = 12, 9
+    script = np.random.default_rng(13).integers(0, len(PALETTE), size=(20, h, w))
+    frames = palette_frames(script, 13)
+    want = strip_model(1, w, h, history_length=20)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    got = BackgroundModel(w, h, history_length=20)
+    for frame in frames:
+        assert np.array_equal(got.update(frame), want.update(frame))
+    for a, b in zip((got.weight, got.mean, got.variance, got.ncomp),
+                    (want.weight, want.mean, want.variance, want.ncomp)):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("bad_lo", [0, 4], ids=["worker", "caller"])
 def test_a_failing_strip_fails_the_update(bad_lo):
     """An error in either strip reaches the caller, and the frame is not

@@ -312,6 +312,17 @@ def test_unusable_config_value_exit_2(workspace, tmp_path, capsys, line):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_integer_past_float_range_exit_2(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("history_length = 1" + "0" * 400 + "\n")
+    rc = main(["detect", "--frames", str(workspace / "frames"),
+               "--config", str(bad), "--out", str(tmp_path / "det.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "history_length must be finite" in err
+
+
 def test_unknown_config_key_exit_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
@@ -331,7 +342,7 @@ def test_bad_scene_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["object.0.stripe_width = 0", "object.0.stripe_color = 0 300 0",
-                                  "background = -1 0 0",
+                                  "background = -1 0 0", "seed = -1",
                                   # one frame of 1.4e13 bytes: refused before any allocation
                                   "width = 100000000000"])
 def test_unrenderable_scene_exit_1(tmp_path, capsys, line):

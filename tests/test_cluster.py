@@ -2,9 +2,12 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from garmwatch import (BoundingBox, PersonBoxes, ValidationError, box_gap,
                        cluster_contours, exclude_persons, to_detections)
+from garmwatch.cluster import RegionCluster
 from garmwatch.regions import Region
 
 
@@ -159,6 +162,94 @@ def test_cluster_bbox_is_minimal_cover():
         assert cl.bbox == BoundingBox(min(xs), min(ys),
                                       max(x2s) - min(xs), max(y2s) - min(ys))
         assert cl.total_area == sum(m.area for m in cl.members)
+
+
+# The union-find grouping cluster_contours used before its one-scan
+# rewrite, kept verbatim as the reference for cluster order, member order
+# and every field.
+
+class UnionFind:
+    """Disjoint sets over range(n) with path halving and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def union_find_cluster_contours(regions: list[Region], color_label: str,
+                                gap_threshold: float) -> list[RegionCluster]:
+    """Single-linkage grouping of regions by bounding-box gap.
+
+    Two regions land in the same cluster iff they are connected through
+    pairs whose box gap is <= gap_threshold.  Output ordered by
+    (bbox.y, bbox.x).
+    """
+    if gap_threshold < 0:
+        raise ValidationError(f"gap_threshold must be >= 0, got {gap_threshold}")
+    if not regions:
+        return []
+    uf = UnionFind(len(regions))
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            if box_gap(regions[i].bbox, regions[j].bbox) <= gap_threshold:
+                uf.union(i, j)
+    groups: dict[int, list[Region]] = {}
+    for i, region in enumerate(regions):
+        groups.setdefault(uf.find(i), []).append(region)
+    clusters = []
+    for members in groups.values():
+        bbox = members[0].bbox
+        for m in members[1:]:
+            bbox = bbox.cover(m.bbox)
+        clusters.append(RegionCluster(members, bbox, color_label,
+                                      sum(m.area for m in members)))
+    clusters.sort(key=lambda c: (c.bbox.y, c.bbox.x))
+    return clusters
+
+
+def cluster_fields(clusters):
+    return [(c.bbox, c.color_label, c.total_area, [id(m) for m in c.members])
+            for c in clusters]
+
+
+# (x, y, w, h, area) on a small grid, so that links, touching boxes,
+# duplicate boxes and (bbox.y, bbox.x) ties all occur
+region_specs = st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(1, 6),
+                                  st.integers(1, 6), st.integers(1, 40)), max_size=30)
+gaps = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2 ** 0.5, 2.5]), st.floats(0.0, 12.0))
+
+# A ring of four linked bars whose cover starts at (0, 0), and a one-pixel
+# region at (0, 0) inside it, 2 px from the nearest bar: two clusters
+# with the same top-left corner.  Scanning from the top bar finds the
+# left bar last, so the ring's members come out of order unless sorted.
+RING = [(3, 0, 10, 2, 20), (0, 3, 2, 10, 20), (12, 2, 2, 10, 20), (2, 12, 10, 2, 20)]
+PIXEL = (0, 0, 1, 1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_specs, gaps)
+@example(RING + [PIXEL], 1.0)
+@example([PIXEL] + RING, 1.0)
+def test_clusters_equal_union_find_reference(specs, gap):
+    regions = [Region(BoundingBox(x, y, w, h), area) for x, y, w, h, area in specs]
+    got = cluster_contours(regions, "red", gap)
+    assert cluster_fields(got) == cluster_fields(
+        union_find_cluster_contours(regions, "red", gap))
 
 
 # ---------------------------------------------------------------------------

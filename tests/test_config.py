@@ -119,6 +119,16 @@ def test_non_finite_values_rejected(kw, match):
         BackgroundModel(2, 2, **kw)
 
 
+@pytest.mark.parametrize("key", ["history_length", "max_components", "se_size",
+                                 "warmup_frames", "binarize_threshold", "min_area"])
+def test_integer_past_float_range_rejected(key):
+    # math.isfinite raises OverflowError on such an integer
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        PipelineConfig(**{key: 10**400})
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        PipelineConfig(**{key: -10**400})
+
+
 # ---------------------------------------------------------------------------
 # from flat mapping
 
