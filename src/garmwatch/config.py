@@ -185,6 +185,13 @@ class PipelineConfig:
             raise ConfigError(f"warmup_frames must be >= 0, got {self.warmup_frames}")
         if not self.bands:
             raise ConfigError("at least one color band is required")
+        for band in self.bands:
+            if not isinstance(band, ColorBand):
+                raise ConfigError(f"bands must be ColorBand entries, got {band!r}")
+            if band.label.splitlines() != [band.label] or any(c in band.label for c in ".=#"):
+                raise ConfigError(f"band label {band.label!r} holds '.', '=', '#' or a line break")
+        if len({band.label for band in self.bands}) < len(self.bands):
+            raise ConfigError("band labels must be distinct")
 
     @property
     def warmup(self) -> int:

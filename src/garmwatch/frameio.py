@@ -135,6 +135,16 @@ def _opened(target: str | os.PathLike | IO, mode: str):
     return open(target, mode, encoding=None if "b" in mode else "utf-8")
 
 
+def _header_ints(tokens, source: str, fmt: str) -> list[int]:
+    """Values of ASCII decimal header fields; int alone takes signs, '_' and Unicode digits."""
+    if all(t.isascii() and t.isdigit() for t in tokens):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:  # more digits than int converts
+            pass
+    raise FormatError(f"{source}: non-numeric {fmt} header fields")
+
+
 # ---------------------------------------------------------------------------
 # PPM sequences
 
@@ -145,10 +155,7 @@ def _parse_ppm(buf: bytes, source: str) -> np.ndarray:
     magic, *fields = m.groups()
     if magic != b"P6":
         raise FormatError(f"{source}: not a binary PPM (magic {magic!r}, expected P6)")
-    try:
-        width, height, maxval = map(int, fields)
-    except ValueError:
-        raise FormatError(f"{source}: non-numeric PPM header fields") from None
+    width, height, maxval = _header_ints(fields, source, "PPM")
     if maxval != 255:
         raise FormatError(f"{source}: unsupported maxval {maxval}, expected 255")
     if width < 1 or height < 1:
@@ -246,11 +253,8 @@ def read_raw_stream(source: str | os.PathLike | IO[bytes]) -> Iterator[Frame]:
         fields = _read_header_line(f, name).split()
         if len(fields) != 5 or fields[0] != GWVS1_MAGIC:
             raise FormatError(f"{name}: bad GWVS1 header {fields!r}")
-        try:
-            width, height, fps, nframes = (int(v) for v in fields[1:])
-        except ValueError:
-            raise FormatError(f"{name}: non-numeric GWVS1 header fields") from None
-        if width < 1 or height < 1 or fps < 1 or nframes < 0:
+        width, height, fps, nframes = _header_ints(fields[1:], name, "GWVS1")
+        if width < 1 or height < 1 or fps < 1:
             raise FormatError(f"{name}: invalid GWVS1 header values")
         frame_size = width * height * 3
         received = 0

@@ -55,16 +55,16 @@ def iter_sequence(frames: Iterable[Frame],
     """Run the pipeline over a frame stream, yielding (frame, detections).
 
     persons, when given, is matched to frames by index as both streams
-    advance, so the sidecar is read one record at a time.  Frame indices
-    must rise, as every frame reader yields them, and sidecar records must
-    rise strictly (else ValidationError); frames without a sidecar entry
+    advance, so the sidecar is read one record at a time.  Frame indices,
+    from 0 up, and sidecar records must rise strictly, as every reader
+    yields them (else ValidationError); frames without a sidecar entry
     get no person filtering.  After the last frame the rest of the sidecar is
     read, so a bad record past the end still fails.
     """
-    records = _rising(persons or ())
+    records = _rising(persons or (), "person sidecar", "frame_index")
     pending = next(records, None)
     pipeline = None
-    for frame in frames:
+    for frame in _rising(frames, "frame stream", "index"):
         if pipeline is None:
             pipeline = Pipeline(frame.width, frame.height, config)
         while pending is not None and pending.frame_index < frame.index:
@@ -75,14 +75,14 @@ def iter_sequence(frames: Iterable[Frame],
         pass
 
 
-def _rising(persons: Iterable[PersonBoxes]) -> Iterator[PersonBoxes]:
+def _rising(items: Iterable, what: str, attr: str) -> Iterator:
     last = -1
-    for record in persons:
-        if record.frame_index <= last:
-            raise ValidationError(f"person sidecar: frame {record.frame_index} "
+    for item in items:
+        if getattr(item, attr) <= last:
+            raise ValidationError(f"{what}: frame {getattr(item, attr)} "
                                   f"follows frame {last}; frames must rise strictly")
-        last = record.frame_index
-        yield record
+        last = getattr(item, attr)
+        yield item
 
 
 def process_sequence(frames: Iterable[Frame],

@@ -41,7 +41,6 @@ EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 # starting East.
 _OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 1),
             (-1, 0), (-1, -1), (0, -1), (1, -1))
-_OFFSET_INDEX = {off: i for i, off in enumerate(_OFFSETS)}
 
 
 @dataclass
@@ -111,38 +110,24 @@ def _trace_boundary(padded: np.ndarray, start: tuple[int, int]) -> list[tuple[in
     # Moore-neighbor tracing with the repeated-transition stop rule.
     # padded has a one-pixel background ring, so neighbor reads never leave
     # the array.  start's west neighbor is background because start is the
-    # component's topmost then leftmost pixel.
-    def scan(px: tuple[int, int], back: int) -> int | None:
+    # component's topmost then leftmost pixel.  Each pass scans clockwise from
+    # the backtrack; after a move in direction d the backtrack from the new
+    # pixel is (d + 6 - d % 2) % 8, the background cell scanned just before.
+    points, cur, back, first = [start], start, 4, None
+    for _ in range(8 * padded.size + 16):
         for k in range(1, 9):
             d = (back + k) % 8
             dx, dy = _OFFSETS[d]
-            if padded[px[1] + dy, px[0] + dx]:
-                return d
-        return None
-
-    def step(cur: tuple[int, int], d: int) -> tuple[tuple[int, int], int]:
-        # Move to the neighbor at direction d; the new backtrack points at
-        # the background cell scanned just before it.
-        nxt = (cur[0] + _OFFSETS[d][0], cur[1] + _OFFSETS[d][1])
-        bx, by = _OFFSETS[(d - 1) % 8]
-        bg_cell = (cur[0] + bx, cur[1] + by)
-        return nxt, _OFFSET_INDEX[(bg_cell[0] - nxt[0], bg_cell[1] - nxt[1])]
-
-    points = [start]
-    d = scan(start, 4)
-    if d is None:
-        return points
-    cur, back = step(start, d)
-    first = (start, cur)
-    points.append(cur)
-    limit = 8 * padded.size + 16
-    for _ in range(limit):
-        d = scan(cur, back)
-        nxt = (cur[0] + _OFFSETS[d][0], cur[1] + _OFFSETS[d][1])
+            if padded[cur[1] + dy, cur[0] + dx]:
+                break
+        else:
+            return points  # a lone pixel has no foreground neighbor
+        nxt = (cur[0] + dx, cur[1] + dy)
         if (cur, nxt) == first:
             break
-        cur, back = step(cur, d)
-        points.append(cur)
+        first = first or (cur, nxt)
+        points.append(nxt)
+        cur, back = nxt, (d + 6 - d % 2) % 8
     else:
         raise RuntimeError("contour trace failed to terminate")
     if len(points) > 1 and points[-1] == points[0]:

@@ -148,6 +148,7 @@ def _paint(canvas: np.ndarray, obj: SceneObject | ScenePerson, frame: int) -> Bo
 def generate_frames(spec: SceneSpec):
     """Yield (Frame, Annotation, PersonBoxes) per frame, deterministically.
 
+    The spec is validated when called, before the first frame is drawn.
     The PRNG is consumed in a fixed order: background texture first (when
     requested), then one noise field per frame (when noise_sigma > 0).
     Persons paint beneath objects, so a garment whose box sits inside a
@@ -155,6 +156,10 @@ def generate_frames(spec: SceneSpec):
     is there to discard.
     """
     _validate(spec)
+    return _frames(spec)
+
+
+def _frames(spec: SceneSpec):
     rng = np.random.default_rng(spec.seed)
     if spec.background == TEXTURE:
         base = rng.integers(0, 256, size=(spec.height, spec.width, 3), dtype=np.uint8)
@@ -180,16 +185,15 @@ def generate_frames(spec: SceneSpec):
 
 def generate(spec: SceneSpec, out_dir, gt_path, persons_path=None) -> int:
     """Render the scene to disk frame by frame; returns the frame count."""
-    _validate(spec)  # before write_frame_sequence creates out_dir
     annotations, persons = [], []
 
-    def frames():
-        for frame, annotation, person_boxes in generate_frames(spec):
+    def frames(rows):
+        for frame, annotation, person_boxes in rows:
             annotations.append(annotation)
             persons.append(person_boxes)
             yield frame
 
-    count = write_frame_sequence(frames(), out_dir)
+    count = write_frame_sequence(frames(generate_frames(spec)), out_dir)
     write_annotations(annotations, gt_path)
     if persons_path is not None:
         write_person_boxes(persons, persons_path)

@@ -1,8 +1,7 @@
 import math
-import string
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -84,6 +83,23 @@ def test_validation_ranges():
         PipelineConfig(containment_min=-0.1)
     with pytest.raises(ConfigError):
         PipelineConfig(bands=())
+
+
+RED = ColorBand("red", ((0.0, 10.0),))
+
+
+@pytest.mark.parametrize("bands, message", [
+    (("red",), "ColorBand"),
+    ((RED, replace(RED, hue_ranges=((20.0, 30.0),))), "distinct"),
+    ((replace(RED, label="dark.red"),), "line break"),
+    ((replace(RED, label="a=b"),), "line break"),
+    ((replace(RED, label="a#b"),), "line break"),
+    ((replace(RED, label="a\nb"),), "line break"),
+    ((replace(RED, label="red\u2028"),), "line break"),
+], ids=["not-a-band", "repeated", "dot", "equals", "hash", "newline", "line-separator"])
+def test_bands_are_checked(bands, message):
+    with pytest.raises(ConfigError, match=message):
+        PipelineConfig(bands=bands)
 
 
 NON_FINITE = [
@@ -236,10 +252,6 @@ def test_round_trip_with_defaults():
     assert PipelineConfig.from_mapping(flat) == cfg
 
 
-# Characters a band label may use and still be a band.<label>.<field> key.
-FLAT_KEY_ALPHABET = string.ascii_letters + string.digits + "_-"
-
-
 def scalar(values, numpy_type):
     """Plain Python numbers or the same values as numpy scalars."""
     return st.one_of(values, values.map(numpy_type))
@@ -257,8 +269,8 @@ def reals(lo, hi, open_lo=False, open_hi=False):
 
 @st.composite
 def bands(draw):
-    labels = draw(st.lists(st.text(FLAT_KEY_ALPHABET, min_size=1, max_size=6),
-                           min_size=1, max_size=4, unique=True))
+    # any text, repeats included; ColorBand itself rejects an empty label
+    labels = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4))
     table = []
     for label in labels:
         cuts = sorted(draw(st.lists(reals(0, 360), min_size=2, max_size=4, unique=True)))
@@ -269,10 +281,11 @@ def bands(draw):
 
 
 @st.composite
-def configs(draw):
+def config_fields(draw):
+    """Keyword arguments for PipelineConfig; only the band labels may be illegal."""
     var_min, var_init, var_max = sorted(
         draw(st.lists(reals(0, 10**6, open_lo=True), min_size=3, max_size=3)))
-    return PipelineConfig(
+    return dict(
         history_length=draw(scalar(st.integers(1, 10**6), np.int64)),
         match_threshold=draw(reals(0, 100, open_lo=True)),
         background_fraction=draw(reals(0, 1, open_lo=True, open_hi=True)),
@@ -287,9 +300,20 @@ def configs(draw):
         bands=draw(bands()))
 
 
+# The characters on which str.splitlines breaks a line.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 @settings(max_examples=200, deadline=None)
-@given(configs())
-def test_to_mapping_inverts_from_mapping(cfg):
+@given(config_fields())
+@example({"bands": (ColorBand(" sp ace ", ((0.0, 10.0),)),)})
+def test_to_mapping_inverts_from_mapping(kwargs):
+    labels = [b.label for b in kwargs["bands"]]
+    if len(set(labels)) < len(labels) or any(c in ".=#" + LINE_BREAKS for c in "".join(labels)):
+        with pytest.raises(ConfigError, match="band label"):
+            PipelineConfig(**kwargs)
+        return
+    cfg = PipelineConfig(**kwargs)
     flat = cfg.to_mapping()
     assert all(isinstance(v, str) and "np." not in v for v in flat.values())
     assert PipelineConfig.from_mapping(flat) == cfg

@@ -106,6 +106,22 @@ def test_ppm_rejects_split_header_tokens(tmp_path, data, message):
         frameio.read_ppm(path)
 
 
+# int() would read each of these: Netpbm header numbers are ASCII decimal
+@pytest.mark.parametrize("data", [
+    b"P6\n1_0 1\n255\n" + bytes(30),
+    b"P6\n+2 2\n255\n" + bytes(12),
+    b"P6\n2 -0\n255\n",
+    b"P6\n2 2\n2_55\n" + bytes(12),
+    b"P6\n2 2\n+255\n" + bytes(12),
+], ids=["underscore-width", "signed-width", "signed-height", "underscore-maxval",
+        "signed-maxval"])
+def test_ppm_header_numbers_are_decimal(tmp_path, data):
+    path = tmp_path / "b.ppm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="non-numeric PPM header fields"):
+        frameio.read_ppm(path)
+
+
 # ---------------------------------------------------------------------------
 # Frame sequences
 
@@ -202,6 +218,19 @@ def test_raw_stream_bad_magic():
     buf = io.BytesIO(b"GWVS2 2 2 25 1\n" + bytes(12))
     with pytest.raises(FormatError):
         list(frameio.read_raw_stream(buf))
+
+
+@pytest.mark.parametrize("header", [
+    b"GWVS1 1_0 1 25 1\n",
+    b"GWVS1 +2 2 25 1\n",
+    b"GWVS1 2 2 2_5 1\n",
+    b"GWVS1 2 2 25 -0\n",
+    b"GWVS1 2 2 25 +1\n",
+], ids=["underscore-width", "signed-width", "underscore-fps", "signed-zero-frames",
+        "signed-frames"])
+def test_raw_stream_header_numbers_are_decimal(header):
+    with pytest.raises(FormatError, match="non-numeric GWVS1 header fields"):
+        list(frameio.read_raw_stream(io.BytesIO(header + bytes(30))))
 
 
 def test_raw_stream_truncation_reports_counts():

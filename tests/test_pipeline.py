@@ -133,6 +133,19 @@ def test_sidecar_must_rise_strictly(indices):
         process_sequence(frames, [PersonBoxes(i, []) for i in indices], config=CONFIG)
 
 
+@pytest.mark.parametrize("indices", [(0, 0), (4, 2), (-1,)],
+                         ids=["repeated", "falling", "negative"])
+def test_frames_must_rise_strictly(indices):
+    frames = [Frame(i, np.zeros((6, 8, 3), np.uint8)) for i in indices]
+    with pytest.raises(ValidationError, match="frame stream: .* rise strictly"):
+        process_sequence(frames, config=CONFIG)
+
+
+def test_frames_may_skip_indices():
+    frames = [Frame(i, np.zeros((6, 8, 3), np.uint8)) for i in (0, 2, 7)]
+    assert [f.index for f, _ in iter_sequence(frames, config=CONFIG)] == [0, 2, 7]
+
+
 def test_empty_stream():
     assert process_sequence([], config=CONFIG) == []
 

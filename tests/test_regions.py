@@ -2,7 +2,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -10,7 +10,7 @@ from scipy import ndimage
 from garmwatch import (Region, ValidationError, binarize, close, components, filter_small,
                        trace_contours)
 from garmwatch.frameio import BoundingBox
-from garmwatch.regions import closed_regions
+from garmwatch.regions import Contour, closed_regions
 
 
 def flood_fill_components(mask):
@@ -252,6 +252,100 @@ def test_trace_is_deterministic():
     b = trace_contours(mask)
     assert [c.points for c in a] == [c.points for c in b]
     assert [c.bbox for c in a] == [c.bbox for c in b]
+
+
+# ---------------------------------------------------------------------------
+# trace_contours against a reference tracer
+
+# The tracer in its earlier form, with nested scan and step helpers and a
+# reverse lookup for the backtrack, kept as the oracle for the one-loop form.
+_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 1),
+            (-1, 0), (-1, -1), (0, -1), (1, -1))
+_OFFSET_INDEX = {off: i for i, off in enumerate(_OFFSETS)}
+
+
+def ref_trace_boundary(padded: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
+    # Moore-neighbor tracing with the repeated-transition stop rule.
+    # padded has a one-pixel background ring, so neighbor reads never leave
+    # the array.  start's west neighbor is background because start is the
+    # component's topmost then leftmost pixel.
+    def scan(px: tuple[int, int], back: int) -> int | None:
+        for k in range(1, 9):
+            d = (back + k) % 8
+            dx, dy = _OFFSETS[d]
+            if padded[px[1] + dy, px[0] + dx]:
+                return d
+        return None
+
+    def step(cur: tuple[int, int], d: int) -> tuple[tuple[int, int], int]:
+        # Move to the neighbor at direction d; the new backtrack points at
+        # the background cell scanned just before it.
+        nxt = (cur[0] + _OFFSETS[d][0], cur[1] + _OFFSETS[d][1])
+        bx, by = _OFFSETS[(d - 1) % 8]
+        bg_cell = (cur[0] + bx, cur[1] + by)
+        return nxt, _OFFSET_INDEX[(bg_cell[0] - nxt[0], bg_cell[1] - nxt[1])]
+
+    points = [start]
+    d = scan(start, 4)
+    if d is None:
+        return points
+    cur, back = step(start, d)
+    first = (start, cur)
+    points.append(cur)
+    limit = 8 * padded.size + 16
+    for _ in range(limit):
+        d = scan(cur, back)
+        nxt = (cur[0] + _OFFSETS[d][0], cur[1] + _OFFSETS[d][1])
+        if (cur, nxt) == first:
+            break
+        cur, back = step(cur, d)
+        points.append(cur)
+    else:
+        raise RuntimeError("contour trace failed to terminate")
+    if len(points) > 1 and points[-1] == points[0]:
+        points.pop()
+    return points
+
+
+def ref_trace_contours(mask: np.ndarray) -> list[Contour]:
+    mask = np.asarray(mask, dtype=bool)
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    contours = []
+    for lab, slc in enumerate(ndimage.find_objects(labels), start=1):
+        comp = labels[slc] == lab
+        y0, x0 = slc[0].start, slc[1].start
+        bbox = BoundingBox(x0, y0, comp.shape[1], comp.shape[0])
+        padded = np.zeros((comp.shape[0] + 2, comp.shape[1] + 2), dtype=bool)
+        padded[1:-1, 1:-1] = comp
+        rows, cols = np.nonzero(comp)  # row-major: first hit is topmost, then leftmost
+        start = (int(cols[0]) + 1, int(rows[0]) + 1)
+        points = [(x - 1 + x0, y - 1 + y0) for x, y in ref_trace_boundary(padded, start)]
+        contours.append(Contour(bbox, int(comp.sum()), points))
+    contours.sort(key=lambda c: (c.bbox.y, c.bbox.x))
+    return contours
+
+
+@st.composite
+def any_density_masks(draw):
+    """Bool masks of 1..16 per side, each pixel set with a drawn probability."""
+    h, w, p = draw(st.integers(1, 16)), draw(st.integers(1, 16)), draw(st.floats(0, 1))
+    return draw(hnp.arrays(bool, (h, w), elements=st.floats(0, 1).map(lambda u: u < p)))
+
+
+RING = np.ones((5, 6), bool)
+RING[2, 2:4] = False
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_density_masks())
+@example(np.array([[1, 0, 1], [0, 1, 0]], bool))  # traced (0,0) (1,1) (2,0) (1,1)
+@example(np.ones((1, 1), bool))
+@example(np.eye(7, dtype=bool))
+@example(RING)
+@example(np.ones((6, 9), bool))
+def test_trace_contours_matches_reference(mask):
+    got = [(c.bbox, c.area, c.points) for c in trace_contours(mask)]
+    assert got == [(c.bbox, c.area, c.points) for c in ref_trace_contours(mask)]
 
 
 # ---------------------------------------------------------------------------

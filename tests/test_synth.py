@@ -7,7 +7,7 @@ import pytest
 
 from garmwatch import (BoundingBox, SceneError, SceneObject, ScenePerson,
                        SceneSpec, generate, generate_frames, warmup_prefix)
-from garmwatch import frameio
+from garmwatch import frameio, synth
 from garmwatch.synth import scene_from_mapping
 from garmwatch.config import parse_flat_text
 
@@ -128,6 +128,23 @@ def test_validation_errors():
     with pytest.raises(SceneError, match="stripe_width"):
         render(SceneSpec(8, 8, 1, objects=[SceneObject((0, 0, 0), (2, 2), (0, 0),
                                                        stripe_width=0)]))
+
+
+def test_generate_frames_validates_when_called():
+    with pytest.raises(SceneError):
+        generate_frames(SceneSpec(0, 10, 1))  # no frame drawn
+
+
+def test_generate_validates_once(tmp_path, monkeypatch):
+    calls = []
+    validate = synth._validate
+    monkeypatch.setattr(synth, "_validate", lambda spec: calls.append(spec) or validate(spec))
+    spec = SceneSpec(8, 6, 2)
+    generate(spec, tmp_path / "frames", tmp_path / "gt.jsonl")
+    assert calls == [spec]
+    with pytest.raises(SceneError):
+        generate(SceneSpec(0, 6, 2), tmp_path / "bad", tmp_path / "bad.jsonl")
+    assert not (tmp_path / "bad").exists()
 
 
 # ---------------------------------------------------------------------------
