@@ -29,8 +29,13 @@ class ColorBand:
     val_min: float = 0.20
 
     def __post_init__(self):
-        if not self.label:
-            raise ValidationError("band label must be non-empty")
+        if not isinstance(self.label, str) or not self.label:
+            raise ValidationError(f"band label must be a non-empty str, got {self.label!r}")
+        if not (isinstance(self.hue_ranges, tuple)
+                and all(isinstance(r, tuple) and len(r) == 2 for r in self.hue_ranges)):
+            raise ValidationError(
+                f"band {self.label}: hue_ranges must be a tuple of (lo, hi) tuples, "
+                f"got {self.hue_ranges!r}")
         if not 1 <= len(self.hue_ranges) <= 2:
             raise ValidationError(
                 f"band {self.label}: need 1 or 2 hue ranges, got {len(self.hue_ranges)}")
@@ -82,11 +87,13 @@ def rgb_to_hsv(pixel) -> tuple[float, float, float]:
 
 
 def _hsv_planes(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Vectorized hexcone conversion over uint8 RGB in the last axis.
+    # Vectorized hexcone conversion over uint8 RGB in the last axis.  Max and
+    # min go plane by plane: the same floats as a reduction over the length-3
+    # axis, without numpy's reduction loop per pixel.
     p = pixels.astype(np.float64) / 255.0
     r, g, b = p[..., 0], p[..., 1], p[..., 2]
-    v = p.max(axis=-1)
-    c = v - p.min(axis=-1)
+    v = np.maximum(np.maximum(r, g), b)
+    c = v - np.minimum(np.minimum(r, g), b)
     safe = np.where(c == 0.0, 1.0, c)
     h = np.where(v == r, ((g - b) / safe) % 6.0,
                  np.where(v == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0))

@@ -183,6 +183,8 @@ class PipelineConfig:
                 f"containment_min must be in [0, 1], got {self.containment_min}")
         if self.warmup_frames is not None and self.warmup_frames < 0:
             raise ConfigError(f"warmup_frames must be >= 0, got {self.warmup_frames}")
+        if not isinstance(self.bands, tuple):
+            raise ConfigError(f"bands must be a tuple of ColorBand, got {self.bands!r}")
         if not self.bands:
             raise ConfigError("at least one color band is required")
         for band in self.bands:

@@ -6,13 +6,25 @@ Each component yields a Region, its bounding box and exact pixel count;
 regions below an area floor are dropped before clustering.  A Contour
 adds the component's outer boundary traced clockwise, for display.
 
-Closing is a separable running max then min (van Herk 1992, Gil-Werman
-1993).  Dilation treats pixels outside the image as background; erosion
-treats them as foreground.  That pairing makes the two operators an
-adjunction on the image lattice, so closing is extensive and idempotent,
-holes against the image border included.  An element longer than
-2·max(h, w) − 1 spans the whole mask from every pixel, so it closes like
-that length, and close caps it there.
+Closing is a dilation then an erosion, each a separable running OR (AND)
+along rows and then columns, in the manner of van Herk (1992) and
+Gil-Werman (1993).  Each operator copies the mask into one buffer padded by
+se_size // 2 on every side: with 0 for the dilation, which treats pixels
+outside the image as background, and with 1 for the erosion, which treats
+them as foreground.  That pairing makes the two operators an adjunction on
+the image lattice, so closing is extensive and idempotent, holes against
+the image border included.  Along each axis the buffer is combined in place
+with itself shifted by 1, 2, 4, ... pixels, after which each pixel holds
+the run of length L, the largest power of two <= se_size, that starts
+there.  The runs at offsets 0 and se_size − L overlap and together cover
+se_size pixels, and OR and AND are idempotent, so one more combination
+gives the exact run of se_size.  The run that starts at padded pixel
+(y, x) is the window centred on mask pixel (y, x), so the result is the
+buffer's top-left corner.  The buffer is worked flat, a column shift being
+a shift by one padded row; a kept row run ends inside its own row's
+padding.  An element longer than 2·max(h, w) − 1 spans the whole mask from
+every pixel, so it closes like that length, and close caps it there; the
+cost grows with the logarithm of the length.
 
 closed_regions closes and labels a band only inside its window: the
 bounding box of the set pixels, grown by se_size on each side and clipped
@@ -69,13 +81,34 @@ def _check_se_size(se_size: int) -> None:
         raise ValidationError(f"structuring element size must be odd and >= 3, got {se_size}")
 
 
+def _square_run(mask: np.ndarray, size: int, op, pad: bool) -> np.ndarray:
+    # op (np.logical_or or np.logical_and) over the size x size window
+    # centred on each pixel, reading pad past the border.
+    h, w = mask.shape
+    r = size // 2
+    width = w + 2 * r
+    buf = np.full((h + 2 * r, width), pad)
+    buf[r:r + h, r:r + w] = mask
+    flat = buf.reshape(-1)
+    for step in (1, width):
+        n, run = flat.size, 1
+        while 2 * run <= size:
+            shift = run * step
+            op(flat[:n - shift], flat[shift:n], out=flat[:n - shift])
+            n -= shift
+            run *= 2
+        shift = (size - run) * step
+        op(flat[:n - shift], flat[shift:n], out=flat[:n - shift])
+    return buf[:h, :w]
+
+
 def close(mask: np.ndarray, se_size: int = 5) -> np.ndarray:
     """Morphological closing with a square structuring element."""
     _check_se_size(se_size)
     mask = np.asarray(mask, dtype=bool)
     size = min(se_size, max(3, 2 * max(mask.shape) - 1))
-    dilated = ndimage.maximum_filter(mask, size, mode="constant", cval=0)
-    return ndimage.minimum_filter(dilated, size, mode="constant", cval=1)
+    dilated = _square_run(mask, size, np.logical_or, False)
+    return _square_run(dilated, size, np.logical_and, True)
 
 
 def components(mask: np.ndarray) -> list[Region]:

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from garmwatch import (DEFAULT_BANDS, ColorBand, Frame, ShapeError, ValidationError,
                        apply_mask, binarize, color_mask, masked_to_gray, rgb_to_hsv)
-from garmwatch.colorseg import band_masks
+from garmwatch.colorseg import _hsv_planes, band_masks
 
 
 def band(label):
@@ -64,6 +64,46 @@ def test_round_trip_within_one_level():
         h, s, v = rgb_to_hsv(rgb)
         back = (round(c * 255) for c in colorsys.hsv_to_rgb(h / 360, s, v))
         assert all(abs(a - b) <= 1 for a, b in zip(rgb, back))
+
+
+def hsv_planes_by_reduction(pixels):
+    # The vectorized conversion with max and min as reductions over the RGB
+    # axis, kept as the oracle for _hsv_planes's plane-by-plane form.
+    p = pixels.astype(np.float64) / 255.0
+    r, g, b = p[..., 0], p[..., 1], p[..., 2]
+    v = p.max(axis=-1)
+    c = v - p.min(axis=-1)
+    safe = np.where(c == 0.0, 1.0, c)
+    h = np.where(v == r, ((g - b) / safe) % 6.0,
+                 np.where(v == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0))
+    h = np.where(c == 0.0, 0.0, h * 60.0)
+    h = np.where(h >= 360.0, 0.0, h)
+    s = np.where(v == 0.0, 0.0, c / np.where(v == 0.0, 1.0, v))
+    return h, s, v
+
+
+LEVELS = st.sampled_from([0, 1, 254, 255]) | st.integers(0, 255)
+
+
+@st.composite
+def rgb_triples(draw):
+    """uint8 RGB triples, most with two or three equal channels."""
+    r, g, b = draw(LEVELS), draw(LEVELS), draw(LEVELS)
+    tie = draw(st.sampled_from(["", "rg", "gb", "rb", "rgb"]))
+    g = r if tie in ("rg", "rgb") else g
+    b = g if tie in ("gb", "rgb") else r if tie == "rb" else b
+    return r, g, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rgb_triples(), min_size=1, max_size=40))
+def test_hsv_planes_exact(triples):
+    pixels = np.array(triples, dtype=np.uint8)
+    got = _hsv_planes(pixels)
+    for plane, want in zip(got, hsv_planes_by_reduction(pixels)):
+        assert plane.dtype == np.float64 and np.array_equal(plane, want)
+    for i, rgb in enumerate(triples):
+        assert tuple(float(plane[i]) for plane in got) == rgb_to_hsv(rgb), rgb
 
 
 # ---------------------------------------------------------------------------

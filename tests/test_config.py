@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from garmwatch import BackgroundModel, ColorBand, ConfigError, PipelineConfig
+from garmwatch import BackgroundModel, ColorBand, ConfigError, PipelineConfig, ValidationError
 from garmwatch.colorseg import DEFAULT_BANDS
 from garmwatch.config import parse_flat_text, read_flat_file
 
@@ -96,10 +96,26 @@ RED = ColorBand("red", ((0.0, 10.0),))
     ((replace(RED, label="a#b"),), "line break"),
     ((replace(RED, label="a\nb"),), "line break"),
     ((replace(RED, label="red\u2028"),), "line break"),
-], ids=["not-a-band", "repeated", "dot", "equals", "hash", "newline", "line-separator"])
+    (5, "tuple of ColorBand"),
+    ([RED], "tuple of ColorBand"),
+], ids=["not-a-band", "repeated", "dot", "equals", "hash", "newline", "line-separator",
+        "not-iterable", "list"])
 def test_bands_are_checked(bands, message):
     with pytest.raises(ConfigError, match=message):
         PipelineConfig(bands=bands)
+
+
+@pytest.mark.parametrize("label, hue_ranges, message", [
+    (5, ((0.0, 10.0),), "label must be a non-empty str"),
+    (b"red", ((0.0, 10.0),), "label must be a non-empty str"),
+    ("red", [(0.0, 10.0)], "hue_ranges must be a tuple"),
+    ("red", ([0.0, 10.0],), "hue_ranges must be a tuple"),
+    ("red", ((0.0, 10.0, 20.0),), "hue_ranges must be a tuple"),
+], ids=["int-label", "bytes-label", "list-ranges", "list-range", "three-ends"])
+def test_band_fields_are_typed(label, hue_ranges, message):
+    # a wrong type fails here, not later in hash() or str.splitlines()
+    with pytest.raises(ValidationError, match=message):
+        ColorBand(label, hue_ranges)
 
 
 NON_FINITE = [

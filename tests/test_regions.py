@@ -144,6 +144,18 @@ def test_close_with_an_element_past_the_mask(mask, se):
     assert np.array_equal(close(mask, se), want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(framed_masks(), st.sampled_from([11, 13, 15, 17, 23, 31]))
+def test_close_matches_binary_morphology_long_elements(mask, se):
+    # Elements of 11 to 31, whose two covering runs of 8 or 16 pixels overlap
+    # by 1 to 15; test_close_matches_binary_morphology draws 3 to 9 only.
+    # Same oracle.
+    s = np.ones((se, se), bool)
+    want = ndimage.binary_erosion(ndimage.binary_dilation(mask, s, border_value=0),
+                                  s, border_value=1)
+    assert np.array_equal(close(mask, se), want)
+
+
 @settings(max_examples=400, deadline=None)
 @given(framed_masks(), st.sampled_from([3, 5, 7, 9, 81]))
 def test_closed_regions_match_whole_frame(mask, se):
