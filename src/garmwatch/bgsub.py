@@ -135,41 +135,37 @@ class BackgroundModel:
         m, n = weight.shape
         x = np.ascontiguousarray(pixels[lo:hi].T, dtype=np.float64)
 
-        # slots at or past ncomp carry weight exactly 0 and are masked out,
-        # so every read can stop at the widest live prefix.  Channels add up
-        # as (d0² + d2²) + d1², the order in which einsum("nc,nc->n") sums an
+        # one pass down the slots classifies and matches every pixel, keeping
+        # only per-pixel running state: `above` sums the weights of the slots
+        # above k, so bg is a match inside the background prefix, and the
+        # closest match takes strict < so ties keep the lowest slot.  Slots at
+        # or past ncomp hold weight 0 and never match.  Channels add up as
+        # (d0² + d2²) + d1², the order in which einsum("nc,nc->n") sums an
         # (n, 3) row, so results stay those of the pixel-interleaved layout
         kmax = int(ncomp.max())
-        d2 = np.zeros((kmax, n))
-        diff = np.empty(n)
+        limit = 3.0 * self.match_threshold ** 2
+        prefix = 1.0 - self.background_fraction
+        bg = np.zeros(n, dtype=bool)
+        above = np.zeros(n)
+        best = np.full(n, np.inf)
+        closest = np.zeros(n, dtype=np.int64)
+        d2, diff = np.empty(n), np.empty(n)
         for k in range(kmax):
+            d2.fill(0.0)
             for c in (0, 2, 1):
                 np.subtract(x[c], planes[k, c], out=diff)
-                np.multiply(diff, diff, out=diff)
-                d2[k] += diff
-        matched = d2 <= 3.0 * self.match_threshold ** 2 * variance[:kmax]
-        matched &= np.arange(kmax)[:, None] < ncomp
-
-        # dead slots are already excluded through matched, so the prefix
-        # test needs no live-slot mask of its own
-        wpre = weight[:kmax]
-        before = np.empty_like(wpre)
-        before[0] = 0.0
-        for k in range(1, kmax):  # the sums of cumsum(axis=0), which is slower
-            np.add(before[k - 1], wpre[k - 1], out=before[k])
-        in_background = before <= 1.0 - self.background_fraction
-        bg = (matched & in_background).any(axis=0)
-
-        # running minimum, strict < so ties keep the lowest slot
-        has_match = matched.any(axis=0)
+                d2 += np.square(diff, out=diff)
+            hit = (d2 <= np.multiply(variance[k], limit, out=diff)) & (ncomp > k)
+            bg |= hit & (above <= prefix)
+            above += weight[k]
+            hit &= d2 < best
+            closest[hit] = k
+            np.copyto(best, d2, where=hit)
+        has_match = best < np.inf
+        # freed here, the pass's buffers take the matched write's temporaries
+        # instead of fresh pages
+        del above, best, d2, diff, hit
         rows = np.flatnonzero(has_match)
-        closest = np.zeros(n, dtype=np.int64)
-        d2[~matched] = np.inf
-        best = d2[0].copy()
-        for k in range(1, kmax):
-            better = d2[k] < best
-            closest[better] = k
-            np.minimum(best, d2[k], out=best)
         closest = closest[rows]
 
         # decay the pixels that matched, then gather and scatter the matched
@@ -177,7 +173,7 @@ class BackgroundModel:
         # the strip views are not: slot k of pixel i sits at k·N + i, channel
         # c of its mean at k·3N + c·N + i; delta·delta adds up in the order
         # d2 does
-        np.multiply(wpre, 1.0 - eta, out=wpre, where=has_match)
+        np.multiply(weight[:kmax], 1.0 - eta, out=weight[:kmax], where=has_match)
         npx = self.weight.shape[1]
         at = closest * npx + (lo + rows)
         w_new = np.take(self.weight, at) + eta
@@ -207,17 +203,15 @@ class BackgroundModel:
         ncomp[missed] = np.minimum(nc + 1, m)
         weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
 
-        # only a weight bump or a fresh component can break the descending
-        # order, so sort just the pixels where it actually broke
-        kmax = int(ncomp.max())
-        wpre = weight[:kmax]
-        unsorted = np.flatnonzero((wpre[1:] > wpre[:-1]).any(axis=0))
-        w = weight[:kmax, unsorted]
-        order = np.argsort(-w, axis=0, kind="stable")
-        weight[:kmax, unsorted] = np.take_along_axis(w, order, axis=0)
-        variance[:kmax, unsorted] = np.take_along_axis(variance[:kmax, unsorted], order, axis=0)
-        planes[:kmax, :, unsorted] = np.take_along_axis(
-            planes[:kmax, :, unsorted], order[:, None, :], axis=0)
+        # every pixel came in with its slots in descending weight order, and
+        # decay and normalisation keep that order, so only the bumped or the
+        # fresh slot can now be out of place, and only too low.  One swap
+        # pass from the bottom carries it up; strict > leaves equal weights
+        # in their order, as a stable sort would
+        for k in range(int(ncomp.max()) - 1, 0, -1):
+            up = np.flatnonzero(weight[k] > weight[k - 1])
+            for a in (weight, variance, planes):
+                a[k - 1, ..., up], a[k, ..., up] = a[k, ..., up], a[k - 1, ..., up]
         fg[lo:hi] = ~bg
 
     def likelihood(self, x, px: tuple[int, int]) -> float:

@@ -10,6 +10,7 @@ masked_to_gray do the band and luma steps over a whole foreground frame
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,10 @@ class ColorBand:
             if not (0.0 <= lo < hi <= 360.0):
                 raise ValidationError(
                     f"band {self.label}: bad hue range [{lo}, {hi})")
-        if not 0.0 <= self.sat_min <= 1.0 or not 0.0 <= self.val_min <= 1.0:
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 <= v <= 1.0
+                   for v in (self.sat_min, self.val_min)):
             raise ValidationError(
-                f"band {self.label}: sat_min and val_min must be in [0, 1]")
+                f"band {self.label}: sat_min and val_min must be numbers in [0, 1]")
 
 
 DEFAULT_BANDS = (

@@ -47,6 +47,9 @@ class Frame:
 
     def __post_init__(self):
         p = self.pixels
+        if not isinstance(p, np.ndarray) or p.dtype != np.uint8:
+            raise ValidationError(
+                f"frame pixels must be a uint8 array, got {getattr(p, 'dtype', type(p))}")
         if p.ndim != 3 or p.shape[2] != 3:
             raise ValidationError(f"frame pixels must have shape (h, w, 3), got {p.shape}")
         if p.shape[0] < 1 or p.shape[1] < 1:

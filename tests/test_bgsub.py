@@ -265,6 +265,17 @@ def test_closest_match_tie_takes_lowest_slot():
     assert m.mean[1, 0, 0] == 140.0
 
 
+def test_background_prefix_includes_the_slot_reaching_the_bound():
+    # the slots above slot 1 weigh exactly 1 - background_fraction, so slot 1
+    # is still in the background prefix and its match reads as background
+    m = BackgroundModel(1, 1, history_length=100, background_fraction=0.25)
+    m.ncomp[0] = 2
+    m.weight[:2, 0] = [0.75, 0.25]
+    m.mean[0, 0] = (250.0, 250.0, 250.0)
+    m.mean[1, 0] = (10.0, 20.0, 30.0)
+    assert not m.update(Frame(0, np.array((10, 20, 30), np.uint8).reshape(1, 1, 3)))[0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Whole frames, cut into row strips, against the per-pixel recurrence
 
@@ -529,7 +540,7 @@ def test_update_body_matches_fancy_index_form_exactly(data):
     w, h = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 7))
     frames = data.draw(frame_runs(h, w))
     strips = data.draw(st.integers(1, 3))
-    params = dict(history_length=data.draw(st.integers(2, 30)),
+    params = dict(history_length=data.draw(st.integers(1, 30)),
                   max_components=data.draw(st.integers(1, 5)))
     model = strip_model(strips, w, h, **params)
     ref = strip_model(strips, w, h, FancyIndexModel, **params)

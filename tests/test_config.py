@@ -105,17 +105,22 @@ def test_bands_are_checked(bands, message):
         PipelineConfig(bands=bands)
 
 
-@pytest.mark.parametrize("label, hue_ranges, message", [
-    (5, ((0.0, 10.0),), "label must be a non-empty str"),
-    (b"red", ((0.0, 10.0),), "label must be a non-empty str"),
-    ("red", [(0.0, 10.0)], "hue_ranges must be a tuple"),
-    ("red", ([0.0, 10.0],), "hue_ranges must be a tuple"),
-    ("red", ((0.0, 10.0, 20.0),), "hue_ranges must be a tuple"),
-], ids=["int-label", "bytes-label", "list-ranges", "list-range", "three-ends"])
-def test_band_fields_are_typed(label, hue_ranges, message):
-    # a wrong type fails here, not later in hash() or str.splitlines()
+@pytest.mark.parametrize("label, hue_ranges, floors, message", [
+    (5, ((0.0, 10.0),), {}, "label must be a non-empty str"),
+    (b"red", ((0.0, 10.0),), {}, "label must be a non-empty str"),
+    ("red", [(0.0, 10.0)], {}, "hue_ranges must be a tuple"),
+    ("red", ([0.0, 10.0],), {}, "hue_ranges must be a tuple"),
+    ("red", ((0.0, 10.0, 20.0),), {}, "hue_ranges must be a tuple"),
+    ("r", ((0.0, 10.0),), {"sat_min": "x"}, "must be numbers in"),
+    ("r", ((0.0, 10.0),), {"val_min": None}, "must be numbers in"),
+    ("r", ((0.0, 10.0),), {"sat_min": True}, "must be numbers in"),
+], ids=["int-label", "bytes-label", "list-ranges", "list-range", "three-ends",
+        "str-sat-min", "none-val-min", "bool-sat-min"])
+def test_band_fields_are_typed(label, hue_ranges, floors, message):
+    # a wrong type fails here, not later in hash(), str.splitlines() or a
+    # range comparison
     with pytest.raises(ValidationError, match=message):
-        ColorBand(label, hue_ranges)
+        ColorBand(label, hue_ranges, **floors)
 
 
 NON_FINITE = [

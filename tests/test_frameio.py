@@ -16,6 +16,18 @@ def random_frame(rng, w, h, index=0):
 
 
 # ---------------------------------------------------------------------------
+# Frame
+
+@pytest.mark.parametrize("pixels", [
+    np.zeros((2, 2, 3)), np.zeros((2, 2, 3), np.int64), np.zeros((2, 2, 3), np.uint16),
+    np.zeros((2, 2, 3), bool), [[[0, 0, 0]]],
+], ids=["float64", "int64", "uint16", "bool", "list"])
+def test_frame_pixels_must_be_uint8(pixels):
+    with pytest.raises(ValidationError, match="uint8"):
+        Frame(0, pixels)
+
+
+# ---------------------------------------------------------------------------
 # BoundingBox
 
 def test_box_properties():
