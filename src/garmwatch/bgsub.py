@@ -47,10 +47,10 @@ class BackgroundModel:
     (max_components, npixels, 3) view, so ``mean[k, i]`` is the RGB mean of
     slot k at pixel i.  Slot-major and planar keep every per-slot pass over
     contiguous memory, and the update gathers and scatters each pixel's
-    matched slot by flat index into the full arrays.  Slots past ncomp hold
-    weight 0 and are ignored.  Each pixel's slots are kept sorted by
-    descending weight (stable, so ties keep their order).  The strip
-    threads end when the model is freed.
+    one written slot, matched or fresh, by flat index into the full arrays.
+    Slots past ncomp hold weight 0 and are ignored.  Each pixel's slots are
+    kept sorted by descending weight (stable, so ties keep their order).
+    The strip threads end when the model is freed.
     """
 
     def __init__(self, width: int, height: int, config: PipelineConfig | None = None,
@@ -162,45 +162,40 @@ class BackgroundModel:
             closest[hit] = k
             np.copyto(best, d2, where=hit)
         has_match = best < np.inf
-        # freed here, the pass's buffers take the matched write's temporaries
-        # instead of fresh pages
-        del above, best, d2, diff, hit
-        rows = np.flatnonzero(has_match)
-        closest = closest[rows]
+        del above, best, d2, diff, hit  # the write's temporaries reuse their pages
 
-        # decay the pixels that matched, then gather and scatter the matched
-        # slot by flat index into the full arrays, which are contiguous where
-        # the strip views are not: slot k of pixel i sits at k·N + i, channel
-        # c of its mean at k·3N + c·N + i; delta·delta adds up in the order
-        # d2 does
+        # each pixel writes one slot of its own column, gathered and scattered
+        # by flat index into the full arrays, contiguous where the strip views
+        # are not (slot k of pixel i at k·N + i, channel c of its mean at
+        # k·3N + c·N + i): its closest match, else a fresh one in its first
+        # free slot, or its last (lowest-weight) one when full.  All take the
+        # matched update (delta·delta adds up as d2 does), then a fresh pixel's
+        # finite results (w_new >= eta > 0) are replaced by eta, x and var_init
+        fresh = ~has_match
+        np.copyto(closest, np.minimum(ncomp, m - 1), where=fresh)
         np.multiply(weight[:kmax], 1.0 - eta, out=weight[:kmax], where=has_match)
         npx = self.weight.shape[1]
-        at = closest * npx + (lo + rows)
+        at = closest * npx + np.arange(lo, hi)
         w_new = np.take(self.weight, at) + eta
+        np.copyto(w_new, eta, where=fresh)
         np.put(self.weight, at, w_new)
         rho = eta / w_new
-        xr = np.take(x, rows, axis=1)
-        at_mean = closest * 3 * npx + (lo + rows)
+        at_mean = at + closest * 2 * npx
         dd = []
         for c in range(3):
             mu = np.take(self._planes, at_mean)
-            delta = xr[c] - mu
-            np.put(self._planes, at_mean, mu + rho * delta)
+            delta = x[c] - mu
+            mu += rho * delta
+            np.copyto(mu, x[c], where=fresh)
+            np.put(self._planes, at_mean, mu)
             dd.append(delta * delta)
             at_mean += npx
         v = np.take(self.variance, at)
-        v = v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v)
-        np.put(self.variance, at, np.clip(v, self.var_min, self.var_max))
-
-        # an unmatched pixel takes a fresh component in its first free slot,
-        # or in its last (lowest-weight) one when full
-        missed = np.flatnonzero(~has_match)
-        nc = ncomp[missed]
-        slot = np.where(nc < m, nc, m - 1)
-        weight[slot, missed] = eta
-        planes[slot, :, missed] = x[:, missed].T
-        variance[slot, missed] = self.var_init
-        ncomp[missed] = np.minimum(nc + 1, m)
+        v = np.clip(v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v), self.var_min, self.var_max)
+        np.copyto(v, self.var_init, where=fresh)
+        np.put(self.variance, at, v)
+        missed = np.flatnonzero(fresh)
+        ncomp[missed] = np.minimum(ncomp[missed] + 1, m)
         weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
 
         # every pixel came in with its slots in descending weight order, and

@@ -3,8 +3,8 @@
 Readers and writers for the three on-disk surfaces of the pipeline:
 
 * binary PPM (P6, maxval 255) frame sequences named ``frame_NNNNNN.ppm``
-  (ASCII digits), contiguous from index 0; a directory listing keeps only
-  the frame count and highest index, so memory is flat in the length;
+  (ASCII digits, zero-padded to six), contiguous from index 0; a directory
+  listing keeps only the frame count and highest index, so memory is flat;
 * the GWVS1 raw stream container: one ASCII header line
   ``GWVS1 <width> <height> <fps> <nframes>`` followed by tightly packed
   RGB frames;
@@ -20,6 +20,7 @@ All readers are sequential iterators; distinct open streams share no state.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import re
 from contextlib import nullcontext
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import FormatError, ParseError, SequenceError, StreamError, ValidationError
 
-FRAME_NAME_RE = re.compile(r"frame_(\d{6})\.ppm", re.ASCII)
+FRAME_NAME_RE = re.compile(r"frame_(\d+)\.ppm", re.ASCII)
 # magic, width, height, maxval, each after whitespace and '#' comments; the
 # lookaheads keep a token (ends at whitespace) or comment (at \n) whole
 PPM_HEADER_RE = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 4)
@@ -46,6 +47,8 @@ class Frame:
     pixels: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.index, bool) or not isinstance(self.index, numbers.Integral):
+            raise ValidationError(f"frame index must be an integer, got {self.index!r}")
         p = self.pixels
         if not isinstance(p, np.ndarray) or p.dtype != np.uint8:
             raise ValidationError(
@@ -198,9 +201,10 @@ def read_frame_sequence(path: str | os.PathLike) -> Iterator[Frame]:
     count, top = 0, -1
     with os.scandir(path) as entries:
         for entry in entries:
-            if m := FRAME_NAME_RE.fullmatch(entry.name):
+            m = FRAME_NAME_RE.fullmatch(entry.name)
+            if m and frame_filename(i := int(m[1])) == entry.name:
                 count += 1
-                top = max(top, int(m[1]))
+                top = max(top, i)
     if not count:
         raise SequenceError(f"{path}: no frame_NNNNNN.ppm files found")
     if count <= top:  # names are unique, so some index below top is absent

@@ -535,6 +535,8 @@ class Drawn:
 @example(Drawn(4, 3, [gray_frame(0).pixels] * 3, 2, 10, 5, False))  # every pixel matches
 @example(Drawn(4, 3, [gray_frame(255).pixels] * 2, 2, 10, 5, False))  # none match, then all
 @example(Drawn(4, 3, [gray_frame(v).pixels for v in (0, 255, 128, 128)], 2, 10, 1))  # kmax 1
+# eta = 1: decayed weights hit exactly 0, and misses replace the full mixture's last slot
+@example(Drawn(4, 3, [gray_frame(v).pixels for v in (80, 240, 80, 80, 240, 240)], 2, 1, 2, False))
 @given(st.data())
 def test_update_body_matches_fancy_index_form_exactly(data):
     w, h = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 7))

@@ -27,6 +27,18 @@ def test_frame_pixels_must_be_uint8(pixels):
         Frame(0, pixels)
 
 
+@pytest.mark.parametrize("index", ["a", 1.5, 2.0, True, None],
+                         ids=["str", "float", "integral-float", "bool", "none"])
+def test_frame_index_must_be_an_integer(index):
+    with pytest.raises(ValidationError, match="index"):
+        Frame(index, np.zeros((2, 2, 3), np.uint8))
+
+
+def test_frame_index_takes_any_integral_type():
+    for index in (np.int64(3), np.uint8(3), -1):  # pipelines reject negatives themselves
+        assert Frame(index, np.zeros((2, 2, 3), np.uint8)).index == index
+
+
 # ---------------------------------------------------------------------------
 # BoundingBox
 
@@ -172,6 +184,16 @@ def test_sequence_ignores_non_ascii_digit_names(tmp_path):
         (tmp_path / "seq" / f"frame_{digits}.ppm").write_bytes(b"not a frame")
     [back] = frameio.read_frame_sequence(tmp_path / "seq")
     assert np.array_equal(back.pixels, frame.pixels)
+
+
+def test_sequence_counts_names_past_six_digits(tmp_path):
+    frames = [Frame(i, np.zeros((2, 2, 3), np.uint8)) for i in (0, 1_000_000)]
+    frameio.write_frame_sequence(frames, tmp_path / "seq")
+    assert (tmp_path / "seq" / "frame_1000000.ppm").exists()
+    # padded past six digits, a look-alike of frame 1 that frame_filename never writes
+    (tmp_path / "seq" / "frame_0000001.ppm").write_bytes(b"not a frame")
+    with pytest.raises(SequenceError, match="index 1$"):
+        next(frameio.read_frame_sequence(tmp_path / "seq"))
 
 
 def test_sequence_empty_dir(tmp_path):
