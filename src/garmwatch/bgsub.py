@@ -55,8 +55,8 @@ class BackgroundModel:
 
     def __init__(self, width: int, height: int, config: PipelineConfig | None = None,
                  **overrides):
-        """Mixture parameters come from config (default PipelineConfig()),
-        with keyword overrides such as ``history_length=100`` on top."""
+        """Mixture parameters, kept as ``self.config``, come from config
+        (default PipelineConfig()) with overrides such as ``history_length=100`` on top."""
         if width < 1 or height < 1:
             raise ConfigError(f"model grid must be at least 1x1, got {width}x{height}")
         cfg = replace(config or PipelineConfig(), **overrides)
@@ -71,24 +71,17 @@ class BackgroundModel:
 
         self.width = width
         self.height = height
-        self.history_length = cfg.history_length
-        self.learning_rate = 1.0 / cfg.history_length
-        self.match_threshold = cfg.match_threshold
-        self.background_fraction = cfg.background_fraction
-        self.max_components = cfg.max_components
-        self.var_init = float(cfg.var_init)
-        self.var_min = float(cfg.var_min)
-        self.var_max = float(cfg.var_max)
+        self.config = cfg
         self.frames_seen = 0
 
         n = width * height
-        m = self.max_components
+        m = cfg.max_components
         self.weight = np.zeros((m, n))
         self._planes = np.zeros((m, 3, n))
         self.mean = self._planes.transpose(0, 2, 1)
         self.variance = np.ones((m, n))
         self.weight[0] = 1.0
-        self.variance[0] = self.var_init
+        self.variance[0] = cfg.var_init
         self.ncomp = np.ones(n, dtype=np.int64)
         # row strips run in parallel because numpy releases the GIL;
         # sched_getaffinity is missing on macOS and Windows
@@ -128,7 +121,8 @@ class BackgroundModel:
     def _update_span(self, pixels: np.ndarray, fg: np.ndarray, lo: int, hi: int) -> None:
         """Classify and update pixels lo..hi-1 into fg[lo:hi], touching only
         their columns of the state, so spans never share a write."""
-        eta = self.learning_rate
+        cfg = self.config
+        eta = 1.0 / cfg.history_length
         weight, variance = self.weight[:, lo:hi], self.variance[:, lo:hi]
         planes = self._planes[:, :, lo:hi]
         ncomp = self.ncomp[lo:hi]
@@ -143,8 +137,8 @@ class BackgroundModel:
         # (d0² + d2²) + d1², the order in which einsum("nc,nc->n") sums an
         # (n, 3) row, so results stay those of the pixel-interleaved layout
         kmax = int(ncomp.max())
-        limit = 3.0 * self.match_threshold ** 2
-        prefix = 1.0 - self.background_fraction
+        limit = 3.0 * cfg.match_threshold ** 2
+        prefix = 1.0 - cfg.background_fraction
         bg = np.zeros(n, dtype=bool)
         above = np.zeros(n)
         best = np.full(n, np.inf)
@@ -191,8 +185,10 @@ class BackgroundModel:
             dd.append(delta * delta)
             at_mean += npx
         v = np.take(self.variance, at)
-        v = np.clip(v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v), self.var_min, self.var_max)
-        np.copyto(v, self.var_init, where=fresh)
+        # float(): a Fraction bound would turn v into an object array
+        v = np.clip(v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v),
+                    float(cfg.var_min), float(cfg.var_max))
+        np.copyto(v, float(cfg.var_init), where=fresh)
         np.put(self.variance, at, v)
         missed = np.flatnonzero(fresh)
         ncomp[missed] = np.minimum(ncomp[missed] + 1, m)

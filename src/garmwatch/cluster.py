@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .frameio import BoundingBox, Detection, PersonBoxes
 from .regions import Region
 
@@ -46,8 +46,7 @@ def cluster_contours(regions: list[Region], color_label: str,
     (bbox.y, bbox.x); clusters that tie keep the order of their lowest
     input index, and each cluster's members keep input order.
     """
-    if gap_threshold < 0:
-        raise ValidationError(f"gap_threshold must be >= 0, got {gap_threshold}")
+    check_number(gap_threshold, "gap_threshold", ValidationError, lo=0)
     placed = [False] * len(regions)
     clusters = []
     for first in range(len(regions)):
@@ -77,8 +76,7 @@ def exclude_persons(clusters: list[RegionCluster], persons: PersonBoxes | None,
     A cluster goes when the union of person boxes covers at least
     containment_min of its bbox area.
     """
-    if not 0.0 <= containment_min <= 1.0:
-        raise ValidationError(f"containment_min must be in [0, 1], got {containment_min}")
+    check_number(containment_min, "containment_min", ValidationError, lo=0, hi=1)
     if persons is None or not persons.boxes:
         return list(clusters)
     out = []

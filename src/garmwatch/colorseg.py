@@ -10,12 +10,11 @@ masked_to_gray do the band and luma steps over a whole foreground frame
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_number
 from .frameio import Frame
 
 
@@ -41,13 +40,12 @@ class ColorBand:
             raise ValidationError(
                 f"band {self.label}: need 1 or 2 hue ranges, got {len(self.hue_ranges)}")
         for lo, hi in self.hue_ranges:
-            if not (0.0 <= lo < hi <= 360.0):
-                raise ValidationError(
-                    f"band {self.label}: bad hue range [{lo}, {hi})")
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 <= v <= 1.0
-                   for v in (self.sat_min, self.val_min)):
-            raise ValidationError(
-                f"band {self.label}: sat_min and val_min must be numbers in [0, 1]")
+            for end in (lo, hi):
+                check_number(end, f"band {self.label}: hue", ValidationError, lo=0, hi=360)
+            if lo >= hi:
+                raise ValidationError(f"band {self.label}: bad hue range [{lo}, {hi})")
+        check_number(self.sat_min, f"band {self.label}: sat_min", ValidationError, lo=0, hi=1)
+        check_number(self.val_min, f"band {self.label}: val_min", ValidationError, lo=0, hi=1)
 
 
 DEFAULT_BANDS = (

@@ -21,12 +21,11 @@ square root for the linking distance).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import MISSING, dataclass, fields
 
 from .colorseg import DEFAULT_BANDS, ColorBand
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_number
 
 REFERENCE_AREA = 944 * 576
 
@@ -121,6 +120,13 @@ def parse_fields(cls, values: dict[str, str], error: type[Exception], where: str
     return kwargs
 
 
+# (lo, hi) of the PipelineConfig fields with closed ranges; None is unbounded
+CLOSED_RANGES = {"history_length": (1, None), "max_components": (1, None),
+                 "binarize_threshold": (0, 255), "se_size": (3, None), "min_area": (0, None),
+                 "gap_threshold": (0, None), "containment_min": (0, 1),
+                 "warmup_frames": (0, None)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every tunable of the detection pipeline, with working defaults."""
@@ -144,45 +150,19 @@ class PipelineConfig:
         # annotations are strings here: "int", "float | None", ...
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "bands" or (value is None and f.type.endswith("None")):
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise ConfigError(f"{f.name} must be finite, got an integer past "
-                                  "float range") from None
-            if not finite:
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-            if f.type.startswith("int") and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{f.name} must be an integer, got {value}")
-        if self.history_length < 1:
-            raise ConfigError(f"history_length must be >= 1, got {self.history_length}")
+            if f.name != "bands" and not (value is None and f.type.endswith("None")):
+                check_number(value, f.name, ConfigError, f.type.startswith("int"),
+                             *CLOSED_RANGES.get(f.name, (None, None)))
         if self.match_threshold <= 0:
             raise ConfigError(f"match_threshold must be > 0, got {self.match_threshold}")
         if not 0.0 < self.background_fraction < 1.0:
             raise ConfigError(
                 f"background_fraction must be in (0, 1), got {self.background_fraction}")
-        if self.max_components < 1:
-            raise ConfigError(f"max_components must be >= 1, got {self.max_components}")
         if not 0.0 < self.var_min <= self.var_init <= self.var_max:
             raise ConfigError(f"need 0 < var_min <= var_init <= var_max, got "
                               f"{self.var_min}, {self.var_init}, {self.var_max}")
-        if not 0 <= self.binarize_threshold <= 255:
-            raise ConfigError(
-                f"binarize_threshold must be in [0, 255], got {self.binarize_threshold}")
-        if self.se_size < 3 or self.se_size % 2 == 0:
-            raise ConfigError(f"se_size must be odd and >= 3, got {self.se_size}")
-        if self.min_area is not None and self.min_area < 0:
-            raise ConfigError(f"min_area must be >= 0, got {self.min_area}")
-        if self.gap_threshold is not None and self.gap_threshold < 0:
-            raise ConfigError(f"gap_threshold must be >= 0, got {self.gap_threshold}")
-        if not 0.0 <= self.containment_min <= 1.0:
-            raise ConfigError(
-                f"containment_min must be in [0, 1], got {self.containment_min}")
-        if self.warmup_frames is not None and self.warmup_frames < 0:
-            raise ConfigError(f"warmup_frames must be >= 0, got {self.warmup_frames}")
+        if self.se_size % 2 == 0:
+            raise ConfigError(f"se_size must be odd, got {self.se_size}")
         if not isinstance(self.bands, tuple):
             raise ConfigError(f"bands must be a tuple of ColorBand, got {self.bands!r}")
         if not self.bands:
@@ -214,7 +194,7 @@ class PipelineConfig:
         """The flat-file key/value strings that from_mapping turns back into this config.
 
         None fields are left out; integers print as ``str(int(v))`` and
-        reals as ``repr(float(v))``, so numpy scalars print as plain numbers.
+        reals as ``repr(float(v))``, so a numpy scalar prints as a plain number.
         """
         out: dict[str, str] = {}
         for f in fields(self):

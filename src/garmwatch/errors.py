@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all garmwatch modules.
+"""Exception hierarchy shared by all garmwatch modules, and the one number check.
 
 The CLI maps ConfigError to exit status 2 and every other GarmwatchError
-(plus OSError) to exit status 1.
+(plus OSError) to exit status 1.  check_number raises the caller's own
+error class, so each module states only the bounds of its fields.
 """
+
+import math
+import numbers
 
 
 class GarmwatchError(Exception):
@@ -44,3 +48,23 @@ class ConfigError(GarmwatchError):
 
 class SceneError(GarmwatchError):
     """A synthetic scene specification is invalid (names the object and frame)."""
+
+
+def check_number(value, what: str, error: type[GarmwatchError], integer: bool = False,
+                 lo=None, hi=None) -> None:
+    """Raise error, as "{what} must be ..., got {value!r}", unless value is a
+    real number and not a bool, finite, integral when integer is set, and in
+    [lo, hi] (a None end is open); the first of these that fails is named."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past float range; its repr may pass int's digit limit
+        raise error(f"{what} must be finite, got a value past float range") from None
+    if not finite:
+        raise error(f"{what} must be finite, got {value!r}")
+    if integer and not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if lo is not None and value < lo or hi is not None and value > hi:
+        bound = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
+        raise error(f"{what} must be {bound}, got {value!r}")

@@ -20,7 +20,6 @@ All readers are sequential iterators; distinct open streams share no state.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import re
 from contextlib import nullcontext
@@ -31,7 +30,8 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import FormatError, ParseError, SequenceError, StreamError, ValidationError
+from .errors import (FormatError, ParseError, SequenceError, StreamError, ValidationError,
+                     check_number)
 
 FRAME_NAME_RE = re.compile(r"frame_(\d+)\.ppm", re.ASCII)
 # magic, width, height, maxval, each after whitespace and '#' comments; the
@@ -47,8 +47,7 @@ class Frame:
     pixels: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.index, bool) or not isinstance(self.index, numbers.Integral):
-            raise ValidationError(f"frame index must be an integer, got {self.index!r}")
+        check_number(self.index, "frame index", ValidationError, integer=True)
         p = self.pixels
         if not isinstance(p, np.ndarray) or p.dtype != np.uint8:
             raise ValidationError(
@@ -77,6 +76,11 @@ class BoundingBox:
     h: int
 
     def __post_init__(self):
+        # the exact-type test keeps the common case fast; numpy integers take the full check
+        if not (type(self.x) is int and type(self.y) is int and type(self.w) is int
+                and type(self.h) is int):
+            for name in "xywh":
+                check_number(getattr(self, name), f"box {name}", ValidationError, integer=True)
         if self.w < 1 or self.h < 1:
             raise ValidationError(f"box extent must be >= 1, got {self.w}x{self.h}")
 
@@ -230,6 +234,8 @@ def write_frame_sequence(frames: Iterable[Frame], path: str | os.PathLike) -> in
     os.makedirs(path, exist_ok=True)
     count = 0
     for frame in frames:
+        # frame_filename gives a negative index a name the reader skips
+        check_number(frame.index, "frame index", ValidationError, lo=0)
         write_ppm(frame, os.path.join(path, frame_filename(frame.index)))
         count += 1
     return count

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .frameio import BoundingBox
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
@@ -189,6 +189,5 @@ def trace_contours(mask: np.ndarray) -> list[Contour]:
 
 def filter_small(regions: list[Region], min_area: float) -> list[Region]:
     """Keep the regions whose component area is at least min_area."""
-    if min_area < 0:
-        raise ValidationError(f"min_area must be >= 0, got {min_area}")
+    check_number(min_area, "min_area", ValidationError, lo=0)
     return [r for r in regions if r.area >= min_area]

@@ -14,10 +14,10 @@ into per-color fragments.
 
 Scene spec files use the flat ``key = value`` format of the config module
 and are read by its helpers: the keys are the SceneSpec, SceneObject and
-ScenePerson field names.  A spec is checked when it is rendered (sizes,
-a frame that fits in physical memory, colour channels in [0, 255], stripe
-widths, trajectories inside the frame), so specs built in Python get the
-same checks as spec files.
+ScenePerson field names.  A spec is checked when it is rendered (each
+number's type, count and range, a frame that fits in physical memory,
+trajectories inside the frame), so specs built in Python get the same
+checks as spec files and fail with a SceneError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import PARSERS, parse_fields, physical_memory, split_keys
-from .errors import SceneError
+from .errors import SceneError, check_number
 from .frameio import (Annotation, BoundingBox, Frame, PersonBoxes,
                       write_annotations, write_frame_sequence, write_person_boxes)
 
@@ -87,39 +87,39 @@ class SceneSpec:
     seed: int = 0
 
 
-def _check_channels(what: str, color: tuple[int, int, int]) -> None:
-    if not all(0 <= c <= 255 for c in color):
-        raise SceneError(f"{what}: channel values must be in [0, 255], got {color}")
+def _check_ints(what: str, values, n: int, lo=None, hi=None) -> None:
+    if not isinstance(values, (tuple, list)) or len(values) != n:
+        raise SceneError(f"{what} must be {n} integers, got {values!r}")
+    for v in values:
+        check_number(v, what, SceneError, integer=True, lo=lo, hi=hi)
 
 
 def _validate(spec: SceneSpec) -> None:
-    if spec.width < 1 or spec.height < 1:
-        raise SceneError(f"scene must be at least 1x1, got {spec.width}x{spec.height}")
+    for name, lo in (("width", 1), ("height", 1), ("nframes", 0), ("seed", 0)):
+        check_number(getattr(spec, name), name, SceneError, integer=True, lo=lo)
     if 3 * spec.width * spec.height > physical_memory():
         raise SceneError(f"one {spec.width}x{spec.height} frame needs more than the "
                          f"{physical_memory() / 2**30:.1f} GiB of physical memory")
-    if spec.nframes < 0:
-        raise SceneError(f"nframes must be >= 0, got {spec.nframes}")
-    if spec.seed < 0:
-        raise SceneError(f"seed must be >= 0, got {spec.seed}")
-    if not 0 <= spec.noise_sigma < np.inf:
-        raise SceneError(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
+    check_number(spec.noise_sigma, "noise_sigma", SceneError, lo=0)
     if isinstance(spec.background, str):
         if spec.background != TEXTURE:
             raise SceneError(f"background must be an RGB triple or {TEXTURE!r}")
     else:
-        _check_channels("background", spec.background)
+        _check_ints("background", spec.background, 3, 0, 255)
     for i, obj in enumerate(spec.objects, start=1):
-        _check_channels(f"object {i}: color", obj.color)
+        _check_ints(f"object {i}: color", obj.color, 3, 0, 255)
         if obj.stripe_color is not None:
-            _check_channels(f"object {i}: stripe_color", obj.stripe_color)
-        if obj.stripe_width < 1:
-            raise SceneError(f"object {i}: stripe_width must be >= 1, got {obj.stripe_width}")
+            _check_ints(f"object {i}: stripe_color", obj.stripe_color, 3, 0, 255)
+        check_number(obj.stripe_width, f"object {i}: stripe_width", SceneError, integer=True, lo=1)
     for kind, items in (("object", spec.objects), ("person", spec.persons)):
         for i, obj in enumerate(items, start=1):
+            _check_ints(f"{kind} {i}: size", obj.size, 2, lo=1)
+            _check_ints(f"{kind} {i}: start", obj.start, 2)
+            _check_ints(f"{kind} {i}: velocity", obj.velocity, 2)
+            check_number(obj.appear, f"{kind} {i}: appear", SceneError, integer=True)
+            if obj.disappear is not None:
+                check_number(obj.disappear, f"{kind} {i}: disappear", SceneError, integer=True)
             w, h = obj.size
-            if w < 1 or h < 1:
-                raise SceneError(f"{kind} {i}: size must be >= 1x1, got {w}x{h}")
             for t in range(spec.nframes):
                 if not obj.visible(t, spec.nframes):
                     continue
@@ -203,8 +203,7 @@ def generate(spec: SceneSpec, out_dir, gt_path, persons_path=None) -> int:
 def warmup_prefix(spec: SceneSpec, warmup_frames: int) -> SceneSpec:
     """Delay every object and person by warmup_frames and extend the scene,
     leaving a pure-background prefix for the model to converge on."""
-    if warmup_frames < 0:
-        raise SceneError(f"warmup_frames must be >= 0, got {warmup_frames}")
+    check_number(warmup_frames, "warmup_frames", SceneError, integer=True, lo=0)
     if warmup_frames == 0:
         return spec
 

@@ -37,13 +37,16 @@ def test_init_state():
     assert m.frames_seen == 0
     # mean is a writable view of the model's own state
     m.mean[0, 3] = (10.0, 20.0, 30.0)
-    want = (2 * np.pi * m.var_init) ** -1.5
+    want = (2 * np.pi * m.config.var_init) ** -1.5
     assert m.likelihood((10, 20, 30), (1, 1)) == pytest.approx(want, rel=1e-12)
     assert m.likelihood((10, 20, 30), (0, 1)) < want
 
 
 def test_learning_rate_from_history():
-    assert BackgroundModel(1, 1, history_length=500).learning_rate == 0.002
+    # a first miss enters at weight eta = 1/T beside the seed's 1, and both are normalised
+    m = BackgroundModel(1, 1, history_length=500)
+    m.update(Frame(0, np.full((1, 1, 3), 255, np.uint8)))
+    assert m.weight[1, 0] == pytest.approx(0.002 / 1.002, rel=1e-12)
 
 
 def test_init_rejects_bad_config():
@@ -60,7 +63,7 @@ def test_init_rejects_bad_config():
 def test_parameters_come_from_config():
     cfg = PipelineConfig(history_length=40, max_components=3, var_init=100.0)
     m = BackgroundModel(2, 2, cfg)
-    assert m.learning_rate == 1 / 40
+    assert m.config == cfg
     assert m.weight.shape == (3, 4)
     assert np.all(m.variance[0] == 100.0)
     # keyword overrides sit on top of the config
@@ -141,8 +144,8 @@ def test_weights_normalized_and_sorted_after_updates():
         m.update(Frame(i, pixels))
         assert np.allclose(m.weight.sum(axis=0), 1.0, atol=1e-9)
         assert np.all(np.diff(m.weight, axis=0) <= 1e-12)
-        assert np.all((m.variance >= m.var_min) | (m.weight == 0.0))
-        assert np.all(m.variance <= m.var_max)
+        assert np.all((m.variance >= m.config.var_min) | (m.weight == 0.0))
+        assert np.all(m.variance <= m.config.var_max)
 
 
 def test_update_is_deterministic():
@@ -222,15 +225,16 @@ SCRIPT = [
 def test_single_pixel_matches_reference_recurrence():
     t = 100
     m = BackgroundModel(1, 1, history_length=t)
-    comps = [[1.0, (0.0, 0.0, 0.0), m.var_init]]
+    cfg = m.config
+    comps = [[1.0, (0.0, 0.0, 0.0), cfg.var_init]]
     for step, x in enumerate(SCRIPT):
         frame = Frame(step, np.array(x, np.uint8).reshape(1, 1, 3))
         fg = bool(m.update(frame)[0, 0])
         want_fg, comps = reference_update(
-            comps, x, eta=m.learning_rate, k=m.match_threshold,
-            cf=m.background_fraction, mmax=m.max_components,
-            var_init=m.var_init, var_min=m.var_min, var_max=m.var_max,
-            w_init=m.learning_rate)
+            comps, x, eta=1 / cfg.history_length, k=cfg.match_threshold,
+            cf=cfg.background_fraction, mmax=cfg.max_components,
+            var_init=cfg.var_init, var_min=cfg.var_min, var_max=cfg.var_max,
+            w_init=1 / cfg.history_length)
         assert fg == want_fg, f"step {step}: fg {fg} != {want_fg}"
         assert m.ncomp[0] == len(comps)
         for i, (w, mean, var) in enumerate(comps):
@@ -247,7 +251,7 @@ def test_script_exercises_all_branches():
     saw_full = False
     for step, x in enumerate(SCRIPT):
         m.update(Frame(step, np.array(x, np.uint8).reshape(1, 1, 3)))
-        saw_full = saw_full or m.ncomp[0] == m.max_components
+        saw_full = saw_full or m.ncomp[0] == m.config.max_components
     assert saw_full
     assert m.frames_seen == len(SCRIPT)
 
@@ -308,10 +312,12 @@ def test_every_pixel_matches_reference_recurrence(data):
                                   elements=st.integers(0, len(PALETTE) - 1)))
     frames = palette_frames(script, data.draw(st.integers(0, 2**32 - 1)))
     m = strip_model(3, w, h, history_length=20)
-    params = dict(eta=m.learning_rate, k=m.match_threshold, cf=m.background_fraction,
-                  mmax=m.max_components, var_init=m.var_init, var_min=m.var_min,
-                  var_max=m.var_max, w_init=m.learning_rate)
-    comps = [[[1.0, (0.0, 0.0, 0.0), m.var_init]] for _ in range(w * h)]
+    cfg = m.config
+    params = dict(eta=1 / cfg.history_length, k=cfg.match_threshold,
+                  cf=cfg.background_fraction, mmax=cfg.max_components,
+                  var_init=cfg.var_init, var_min=cfg.var_min, var_max=cfg.var_max,
+                  w_init=1 / cfg.history_length)
+    comps = [[[1.0, (0.0, 0.0, 0.0), cfg.var_init]] for _ in range(w * h)]
     for frame in frames:
         fg = m.update(frame).ravel()
         for i, x in enumerate(frame.pixels.reshape(-1, 3)):
@@ -407,7 +413,8 @@ class FancyIndexModel(BackgroundModel):
     same order as the model's own body, so the two must agree exactly."""
 
     def _update_span(self, pixels, fg, lo, hi):
-        eta = self.learning_rate
+        cfg = self.config
+        eta = 1.0 / cfg.history_length
         weight, mean, variance = (a[:, lo:hi] for a in (self.weight, self.mean, self.variance))
         ncomp = self.ncomp[lo:hi]
         m, n = weight.shape
@@ -419,7 +426,7 @@ class FancyIndexModel(BackgroundModel):
         for k in range(kmax):
             np.subtract(x, mean[k], out=diff)
             d2[k] = np.einsum("nc,nc->n", diff, diff)
-        matched = d2 <= 3.0 * self.match_threshold ** 2 * variance[:kmax]
+        matched = d2 <= 3.0 * cfg.match_threshold ** 2 * variance[:kmax]
         if int(ncomp.min()) < kmax:
             matched &= np.arange(kmax)[:, None] < ncomp
 
@@ -427,7 +434,7 @@ class FancyIndexModel(BackgroundModel):
         before = np.empty_like(wpre)
         before[0] = 0.0
         np.cumsum(wpre[:-1], axis=0, out=before[1:])
-        in_background = before <= 1.0 - self.background_fraction
+        in_background = before <= 1.0 - cfg.background_fraction
         bg = (matched & in_background).any(axis=0)
 
         has_match = matched.any(axis=0)
@@ -453,14 +460,14 @@ class FancyIndexModel(BackgroundModel):
             mean[closest, rows] += rho[:, None] * delta
             v = variance[closest, rows]
             v = v + rho * (np.einsum("nc,nc->n", delta, delta) / 3.0 - v)
-            variance[closest, rows] = np.clip(v, self.var_min, self.var_max)
+            variance[closest, rows] = np.clip(v, cfg.var_min, cfg.var_max)
 
         if missed.size:
             nc = ncomp[missed]
             slot = np.where(nc < m, nc, m - 1)
             weight[slot, missed] = eta
             mean[slot, missed] = x[missed]
-            variance[slot, missed] = self.var_init
+            variance[slot, missed] = cfg.var_init
             ncomp[missed] = np.minimum(nc + 1, m)
             weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
             kmax = int(ncomp.max())
@@ -511,7 +518,7 @@ def put_on_edge(model, pixels, seed):
     model.mean[0] = x - np.stack([a, b, c], axis=1)
     model.mean[1] = x - np.stack([c, b, a], axis=1)
     d2 = (a * a + c * c) + b * b
-    scale = 3.0 * model.match_threshold ** 2
+    scale = 3.0 * model.config.match_threshold ** 2
     var = d2 / scale
     for nudged in (np.nextafter(var, 0.0), np.nextafter(var, np.inf)):
         var = np.where((scale * var != d2) & (scale * nudged == d2), nudged, var)
@@ -591,7 +598,7 @@ def test_apply_mask_shape_error():
 
 def test_likelihood_at_mean():
     m = BackgroundModel(2, 2)
-    var = m.var_init
+    var = m.config.var_init
     want = 1.0 * (2 * np.pi * var) ** -1.5
     assert m.likelihood((0, 0, 0), (0, 0)) == pytest.approx(want, rel=1e-12)
 

@@ -83,6 +83,9 @@ def test_validation_ranges():
         PipelineConfig(containment_min=-0.1)
     with pytest.raises(ConfigError):
         PipelineConfig(bands=())
+    for key in ("min_area", "gap_threshold", "warmup_frames"):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig(**{key: -1})
 
 
 RED = ColorBand("red", ((0.0, 10.0),))
@@ -111,11 +114,13 @@ def test_bands_are_checked(bands, message):
     ("red", [(0.0, 10.0)], {}, "hue_ranges must be a tuple"),
     ("red", ([0.0, 10.0],), {}, "hue_ranges must be a tuple"),
     ("red", ((0.0, 10.0, 20.0),), {}, "hue_ranges must be a tuple"),
-    ("r", ((0.0, 10.0),), {"sat_min": "x"}, "must be numbers in"),
-    ("r", ((0.0, 10.0),), {"val_min": None}, "must be numbers in"),
-    ("r", ((0.0, 10.0),), {"sat_min": True}, "must be numbers in"),
+    ("r", ((0.0, 10.0),), {"sat_min": "x"}, "must be a number"),
+    ("r", ((0.0, 10.0),), {"val_min": None}, "must be a number"),
+    ("r", ((0.0, 10.0),), {"sat_min": True}, "must be a number"),
+    ("r", (("a", "b"),), {}, "hue must be a number"),
+    ("r", ((None, 10.0),), {}, "hue must be a number"),
 ], ids=["int-label", "bytes-label", "list-ranges", "list-range", "three-ends",
-        "str-sat-min", "none-val-min", "bool-sat-min"])
+        "str-sat-min", "none-val-min", "bool-sat-min", "str-hue", "none-hue"])
 def test_band_fields_are_typed(label, hue_ranges, floors, message):
     # a wrong type fails here, not later in hash(), str.splitlines() or a
     # range comparison

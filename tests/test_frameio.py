@@ -45,6 +45,15 @@ def test_frame_index_takes_any_integral_type():
 def test_box_properties():
     b = BoundingBox(3, 4, 10, 20)
     assert (b.x2, b.y2, b.area) == (13, 24, 200)
+    assert BoundingBox(np.int64(3), np.uint8(4), np.int32(10), 20) == b
+
+
+@pytest.mark.parametrize("fields", [(0.5, 0, 1, 1), (True, 0, 1, 1), (0, 0, "a", 1),
+                                    (0, None, 1, 1), (0, 0, 1, 2.0), (np.float64(1), 0, 1, 1)],
+                         ids=["float", "bool", "str", "none", "integral-float", "numpy-float"])
+def test_box_fields_must_be_integers(fields):
+    with pytest.raises(ValidationError, match="box"):
+        BoundingBox(*fields)
 
 
 def test_box_rejects_empty_extent():
@@ -158,6 +167,14 @@ def test_sequence_round_trip(tmp_path):
     assert [f.index for f in back] == [0, 1, 2, 3, 4]
     for a, b in zip(frames, back):
         assert np.array_equal(a.pixels, b.pixels)
+
+
+def test_sequence_rejects_negative_index(tmp_path):
+    # frame_filename(-1) is frame_-00001.ppm, a name the reader never reads
+    frames = [Frame(i, np.zeros((2, 2, 3), np.uint8)) for i in (-1, 0)]
+    with pytest.raises(ValidationError, match="frame index must be >= 0"):
+        frameio.write_frame_sequence(frames, tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_sequence_gap_detected(tmp_path):

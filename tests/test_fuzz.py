@@ -1,18 +1,22 @@
-"""Fuzzing of every reader that takes outside input.
+"""Fuzzing of every reader that takes outside input, and of the numeric
+fields of records built in Python.
 
-Arbitrary bytes or text, and near-miss variants of each format, must give
-either a result or a GarmwatchError/OSError -- never any other exception,
-which the CLI would surface as a traceback.
+Arbitrary bytes or text, near-miss variants of each format, and odd values
+in a numeric field must give either a result or a GarmwatchError/OSError --
+never any other exception, which the CLI would surface as a traceback.
 """
 
+from dataclasses import fields, replace
 import io
 import json
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
-from garmwatch import GarmwatchError, PipelineConfig, frameio, synth
+from garmwatch import (BoundingBox, ColorBand, Frame, GarmwatchError, PipelineConfig,
+                       SceneObject, ScenePerson, SceneSpec, frameio, generate_frames, synth)
 from garmwatch.config import parse_flat_text
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -133,3 +137,69 @@ def test_parse_scene(text):
         synth.scene_from_mapping(parse_flat_text(text))
     except ALLOWED:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Numeric fields of records built in Python
+
+odd_values = st.one_of(
+    st.integers(-2, 300), st.floats(-2, 400), st.none(), st.booleans(),
+    st.sampled_from([10**400, -10**400, float("nan"), float("inf"), float("-inf"), "3", b"3",
+                     [1, 2], [1, 2, 3], {"a": 1}, np.True_, np.array(2.0), np.array(3)]),
+    st.floats(-2, 400).map(np.float64), st.integers(-2, 300).map(np.int64))
+
+
+def set_field(record, name, value):
+    """record with field name set to value; "name[i]" sets entry i of a tuple field."""
+    if name.endswith("]"):
+        name, i = name[:-3], int(name[-2])
+        old = getattr(record, name)
+        value = old[:i] + (value,) + old[i + 1:]
+    return replace(record, **{name: value})
+
+
+SCENE = SceneSpec(6, 6, 2, objects=[SceneObject((200, 0, 0), (2, 2), (0, 0),
+                                                stripe_color=(0, 0, 200))],
+                  persons=[ScenePerson((1, 1), (3, 3))])
+
+
+def scene_with(part, name, value):
+    if part == "spec":
+        spec = set_field(SCENE, name, value)
+    else:
+        spec = replace(SCENE, **{part: [set_field(getattr(SCENE, part)[0], name, value)]})
+    return list(generate_frames(spec))
+
+
+BOX = dict(x=0, y=0, w=1, h=1)
+TRAJECTORY = ["size", "size[0]", "size[1]", "start[0]", "start[1]", "velocity",
+              "velocity[0]", "velocity[1]", "appear", "disappear"]
+BUILDERS = (
+    [(f.name, lambda v, n=f.name: PipelineConfig(**{n: v}))
+     for f in fields(PipelineConfig) if f.name != "bands"]
+    + [("hue lo", lambda v: ColorBand("r", ((v, 10.0),))),
+       ("hue hi", lambda v: ColorBand("r", ((0.0, v),))),
+       ("sat_min", lambda v: ColorBand("r", ((0.0, 10.0),), sat_min=v)),
+       ("val_min", lambda v: ColorBand("r", ((0.0, 10.0),), val_min=v)),
+       ("frame index", lambda v: Frame(v, np.zeros((1, 1, 3), np.uint8)))]
+    + [(f"box {n}", lambda v, n=n: BoundingBox(**{**BOX, n: v})) for n in BOX]
+    + [(f"{part} {n}", lambda v, part=part, n=n: scene_with(part, n, v))
+       for part, names in [
+           ("spec", ["width", "height", "nframes", "noise_sigma", "seed", "background",
+                     "background[0]", "background[2]"]),
+           ("objects", TRAJECTORY + ["color", "color[0]", "color[2]", "stripe_color[1]",
+                                     "stripe_width"]),
+           ("persons", TRAJECTORY)]
+       for n in names])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(BUILDERS), odd_values)
+def test_numeric_fields_reject_or_build(builder, value):
+    _, build = builder
+    try:
+        built = build(value)
+    except GarmwatchError:
+        return
+    if isinstance(built, PipelineConfig):
+        assert PipelineConfig.from_mapping(built.to_mapping()) == built

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,8 @@ def test_person_rendering_and_sidecar():
 def test_validation_errors():
     with pytest.raises(SceneError):
         render(SceneSpec(0, 10, 1))
+    with pytest.raises(SceneError, match="nframes"):
+        render(SceneSpec(10, 10, -1))
     with pytest.raises(SceneError):
         render(SceneSpec(10, 10, 1, noise_sigma=-1.0))
     with pytest.raises(SceneError):
@@ -128,6 +131,39 @@ def test_validation_errors():
     with pytest.raises(SceneError, match="stripe_width"):
         render(SceneSpec(8, 8, 1, objects=[SceneObject((0, 0, 0), (2, 2), (0, 0),
                                                        stripe_width=0)]))
+
+
+# Python-built records reach the renderer unparsed; each bad field must end
+# in a SceneError naming it, not in a TypeError from the arithmetic
+
+@pytest.mark.parametrize("kw", [
+    {"width": "a"}, {"nframes": 2.5}, {"seed": 1.5}, {"noise_sigma": "x"},
+    {"background": (1.5, 2, 3)}, {"background": (1, 2)},
+], ids=["str-width", "float-nframes", "float-seed", "str-noise", "float-channel", "two-channels"])
+def test_scene_spec_fields_are_checked(kw):
+    with pytest.raises(SceneError, match=next(iter(kw))):
+        render(replace(SceneSpec(4, 4, 2), **kw))
+
+
+@pytest.mark.parametrize("kw", [
+    {"size": 5}, {"velocity": (0.5, 0)}, {"color": (1.5, 2, 3)}, {"color": (1, 2)},
+    {"start": (0, 0, 0)}, {"stripe_color": (0, "a", 0)}, {"stripe_width": 2.5},
+    {"appear": None}, {"disappear": 1.5},
+], ids=["int-size", "float-velocity", "float-channel", "two-channels", "three-start",
+        "str-stripe-channel", "float-stripe-width", "none-appear", "float-disappear"])
+def test_scene_object_fields_are_checked(kw):
+    obj = replace(SceneObject((200, 0, 0), (2, 2), (0, 0)), **kw)
+    with pytest.raises(SceneError, match=next(iter(kw))):
+        render(SceneSpec(8, 8, 2, objects=[obj]))
+
+
+@pytest.mark.parametrize("kw", [
+    {"size": 5}, {"start": (0.5, 0)}, {"velocity": (0, "a")}, {"appear": 1.5},
+], ids=["int-size", "float-start", "str-velocity", "float-appear"])
+def test_scene_person_fields_are_checked(kw):
+    person = replace(ScenePerson((2, 2), (0, 0)), **kw)
+    with pytest.raises(SceneError, match=next(iter(kw))):
+        render(SceneSpec(8, 8, 2, persons=[person]))
 
 
 def test_generate_frames_validates_when_called():
@@ -196,6 +232,8 @@ def test_generate_streams_frames(tmp_path):
 def test_warmup_zero_is_identity():
     spec = SceneSpec(40, 30, 6, objects=[SceneObject((200, 0, 0), (5, 5), (0, 0))])
     assert warmup_prefix(spec, 0) is spec
+    with pytest.raises(SceneError, match="warmup_frames"):
+        warmup_prefix(spec, -1)
 
 
 def test_warmup_shifts_appearances():
