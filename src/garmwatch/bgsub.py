@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import PipelineConfig, physical_memory
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_number
 from .frameio import Frame
 
 
@@ -57,8 +57,8 @@ class BackgroundModel:
                  **overrides):
         """Mixture parameters, kept as ``self.config``, come from config
         (default PipelineConfig()) with overrides such as ``history_length=100`` on top."""
-        if width < 1 or height < 1:
-            raise ConfigError(f"model grid must be at least 1x1, got {width}x{height}")
+        width = check_number(width, "model width", ConfigError, integer=True, lo=1)
+        height = check_number(height, "model height", ConfigError, integer=True, lo=1)
         cfg = replace(config or PipelineConfig(), **overrides)
         # weight, mean and variance: 8 + 24 + 8 bytes per slot and pixel
         state = 40 * cfg.max_components * width * height
@@ -185,10 +185,8 @@ class BackgroundModel:
             dd.append(delta * delta)
             at_mean += npx
         v = np.take(self.variance, at)
-        # float(): a Fraction bound would turn v into an object array
-        v = np.clip(v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v),
-                    float(cfg.var_min), float(cfg.var_max))
-        np.copyto(v, float(cfg.var_init), where=fresh)
+        v = np.clip(v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v), cfg.var_min, cfg.var_max)
+        np.copyto(v, cfg.var_init, where=fresh)
         np.put(self.variance, at, v)
         missed = np.flatnonzero(fresh)
         ncomp[missed] = np.minimum(ncomp[missed] + 1, m)

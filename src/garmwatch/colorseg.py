@@ -39,13 +39,15 @@ class ColorBand:
         if not 1 <= len(self.hue_ranges) <= 2:
             raise ValidationError(
                 f"band {self.label}: need 1 or 2 hue ranges, got {len(self.hue_ranges)}")
+        object.__setattr__(self, "hue_ranges", tuple(
+            tuple(check_number(end, f"band {self.label}: hue", ValidationError, lo=0, hi=360)
+                  for end in r) for r in self.hue_ranges))
         for lo, hi in self.hue_ranges:
-            for end in (lo, hi):
-                check_number(end, f"band {self.label}: hue", ValidationError, lo=0, hi=360)
             if lo >= hi:
                 raise ValidationError(f"band {self.label}: bad hue range [{lo}, {hi})")
-        check_number(self.sat_min, f"band {self.label}: sat_min", ValidationError, lo=0, hi=1)
-        check_number(self.val_min, f"band {self.label}: val_min", ValidationError, lo=0, hi=1)
+        for name in ("sat_min", "val_min"):
+            object.__setattr__(self, name, check_number(
+                getattr(self, name), f"band {self.label}: {name}", ValidationError, lo=0, hi=1))
 
 
 DEFAULT_BANDS = (

@@ -151,8 +151,9 @@ class PipelineConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name != "bands" and not (value is None and f.type.endswith("None")):
-                check_number(value, f.name, ConfigError, f.type.startswith("int"),
-                             *CLOSED_RANGES.get(f.name, (None, None)))
+                object.__setattr__(self, f.name, check_number(
+                    value, f.name, ConfigError, f.type.startswith("int"),
+                    *CLOSED_RANGES.get(f.name, (None, None))))
         if self.match_threshold <= 0:
             raise ConfigError(f"match_threshold must be > 0, got {self.match_threshold}")
         if not 0.0 < self.background_fraction < 1.0:
@@ -191,23 +192,19 @@ class PipelineConfig:
         return 20.0 * math.sqrt((width * height) / REFERENCE_AREA)
 
     def to_mapping(self) -> dict[str, str]:
-        """The flat-file key/value strings that from_mapping turns back into this config.
-
-        None fields are left out; integers print as ``str(int(v))`` and
-        reals as ``repr(float(v))``, so a numpy scalar prints as a plain number.
-        """
+        """The flat-file key/value strings that from_mapping turns back into
+        this config; None fields are left out."""
         out: dict[str, str] = {}
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "bands":
                 for b in value:
                     key = f"band.{b.label}."
-                    out[key + "hue"] = ",".join(f"{float(lo)!r}:{float(hi)!r}"
-                                                for lo, hi in b.hue_ranges)
-                    out[key + "sat_min"] = repr(float(b.sat_min))
-                    out[key + "val_min"] = repr(float(b.val_min))
+                    out[key + "hue"] = ",".join(f"{lo!r}:{hi!r}" for lo, hi in b.hue_ranges)
+                    out[key + "sat_min"] = repr(b.sat_min)
+                    out[key + "val_min"] = repr(b.val_min)
             elif value is not None:
-                out[f.name] = str(int(value)) if f.type.startswith("int") else repr(float(value))
+                out[f.name] = repr(value)
         return out
 
     @classmethod

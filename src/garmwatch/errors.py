@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all garmwatch modules, and the one number check.
 
 The CLI maps ConfigError to exit status 2 and every other GarmwatchError
-(plus OSError) to exit status 1.  check_number raises the caller's own
-error class, so each module states only the bounds of its fields.
+(plus OSError) to exit status 1.  check_number raises the caller's own error
+class and returns a plain int or float, so a module states only its bounds.
 """
 
 import math
@@ -51,10 +51,11 @@ class SceneError(GarmwatchError):
 
 
 def check_number(value, what: str, error: type[GarmwatchError], integer: bool = False,
-                 lo=None, hi=None) -> None:
+                 lo=None, hi=None) -> int | float:
     """Raise error, as "{what} must be ..., got {value!r}", unless value is a
     real number and not a bool, finite, integral when integer is set, and in
-    [lo, hi] (a None end is open); the first of these that fails is named."""
+    [lo, hi] (a None end is open); the first of these that fails is named.
+    Returns int(value) when integer is set, else float(value)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{what} must be a number, got {value!r}")
     try:
@@ -68,3 +69,4 @@ def check_number(value, what: str, error: type[GarmwatchError], integer: bool = 
     if lo is not None and value < lo or hi is not None and value > hi:
         bound = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
         raise error(f"{what} must be {bound}, got {value!r}")
+    return int(value) if integer else float(value)

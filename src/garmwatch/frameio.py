@@ -47,7 +47,7 @@ class Frame:
     pixels: np.ndarray
 
     def __post_init__(self):
-        check_number(self.index, "frame index", ValidationError, integer=True)
+        self.index = check_number(self.index, "frame index", ValidationError, integer=True)
         p = self.pixels
         if not isinstance(p, np.ndarray) or p.dtype != np.uint8:
             raise ValidationError(
@@ -80,7 +80,8 @@ class BoundingBox:
         if not (type(self.x) is int and type(self.y) is int and type(self.w) is int
                 and type(self.h) is int):
             for name in "xywh":
-                check_number(getattr(self, name), f"box {name}", ValidationError, integer=True)
+                object.__setattr__(self, name, check_number(
+                    getattr(self, name), f"box {name}", ValidationError, integer=True))
         if self.w < 1 or self.h < 1:
             raise ValidationError(f"box extent must be >= 1, got {self.w}x{self.h}")
 
@@ -120,6 +121,16 @@ class Detection:
     color: str
     score: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "frame_index", check_number(
+            self.frame_index, "frame index", ValidationError, integer=True, lo=0))
+        object.__setattr__(self, "score", check_number(
+            self.score, "score", ValidationError, lo=0, hi=1))
+        if not isinstance(self.box, BoundingBox):
+            raise ValidationError(f"detection box must be a BoundingBox, got {self.box!r}")
+        if not isinstance(self.color, str):
+            raise ValidationError(f"detection color must be a str, got {self.color!r}")
+
 
 @dataclass
 class Annotation:
@@ -128,13 +139,16 @@ class Annotation:
     frame_index: int
     boxes: list[BoundingBox] = field(default_factory=list)
 
+    def __post_init__(self):
+        self.frame_index = check_number(self.frame_index, "frame index", ValidationError,
+                                        integer=True, lo=0)
+        if not (isinstance(self.boxes, list)
+                and all(isinstance(b, BoundingBox) for b in self.boxes)):
+            raise ValidationError(f"boxes must be a list of BoundingBox, got {self.boxes!r}")
 
-@dataclass
-class PersonBoxes:
+
+class PersonBoxes(Annotation):
     """Externally supplied person bounding boxes for one frame."""
-
-    frame_index: int
-    boxes: list[BoundingBox] = field(default_factory=list)
 
 
 def _opened(target: str | os.PathLike | IO, mode: str):
@@ -289,6 +303,7 @@ def read_raw_stream(source: str | os.PathLike | IO[bytes]) -> Iterator[Frame]:
 def write_raw_stream(frames: Iterable[Frame], sink: str | os.PathLike | IO[bytes],
                      fps: int = 25) -> int:
     """Write frames as a GWVS1 stream; returns the frame count."""
+    fps = check_number(fps, "fps", ValidationError, integer=True, lo=1)
     frames = list(frames)
     if frames:
         width, height = frames[0].width, frames[0].height

@@ -95,9 +95,9 @@ def _check_ints(what: str, values, n: int, lo=None, hi=None) -> None:
 
 
 def _validate(spec: SceneSpec) -> None:
-    for name, lo in (("width", 1), ("height", 1), ("nframes", 0), ("seed", 0)):
-        check_number(getattr(spec, name), name, SceneError, integer=True, lo=lo)
-    if 3 * spec.width * spec.height > physical_memory():
+    ints = {name: check_number(getattr(spec, name), name, SceneError, integer=True, lo=lo)
+            for name, lo in (("width", 1), ("height", 1), ("nframes", 0), ("seed", 0))}
+    if 3 * ints["width"] * ints["height"] > physical_memory():
         raise SceneError(f"one {spec.width}x{spec.height} frame needs more than the "
                          f"{physical_memory() / 2**30:.1f} GiB of physical memory")
     check_number(spec.noise_sigma, "noise_sigma", SceneError, lo=0)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
-from garmwatch import (BackgroundModel, ConfigError, Frame, PipelineConfig, ShapeError,
-                       apply_mask)
+from garmwatch import (BackgroundModel, ConfigError, Frame, PipelineConfig, SceneError,
+                       SceneSpec, ShapeError, apply_mask, generate_frames)
 
 
 def gray_frame(value, w=4, h=3, index=0):
@@ -79,6 +79,19 @@ def test_oversized_state_rejected_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: generate_frames(SceneSpec(np.int64(2**40), np.int64(2**40), 1)), SceneError,
+     "physical memory"),
+    (lambda: BackgroundModel(np.int64(2**40), np.int64(2**40)), ConfigError, "physical memory"),
+    (lambda: BackgroundModel(2.5, 4), ConfigError, "model width must be an integer"),
+    (lambda: BackgroundModel(True, 4), ConfigError, "model width must be a number"),
+], ids=["scene-numpy-2**40", "model-numpy-2**40", "model-float", "model-bool"])
+def test_grid_sizes_are_checked_as_python_ints(build, error, message):
+    # numpy ints would wrap in the memory bound's product, with a RuntimeWarning
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_state_bound_is_physical_memory(monkeypatch):

@@ -36,7 +36,8 @@ def test_frame_index_must_be_an_integer(index):
 
 def test_frame_index_takes_any_integral_type():
     for index in (np.int64(3), np.uint8(3), -1):  # pipelines reject negatives themselves
-        assert Frame(index, np.zeros((2, 2, 3), np.uint8)).index == index
+        frame = Frame(index, np.zeros((2, 2, 3), np.uint8))
+        assert frame.index == index and type(frame.index) is int
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +266,14 @@ def test_raw_stream_header():
     assert buf.getvalue().startswith(b"GWVS1 5 4 25 1\n")
 
 
+@pytest.mark.parametrize("fps", [0, 2.5, True], ids=["zero", "fraction", "bool"])
+def test_raw_stream_writer_rejects_fps_its_reader_refuses(fps):
+    sink = io.BytesIO()
+    with pytest.raises(ValidationError, match="fps"):
+        frameio.write_raw_stream([Frame(0, np.zeros((2, 2, 3), np.uint8))], sink, fps=fps)
+    assert sink.getvalue() == b""
+
+
 def test_raw_stream_bad_magic():
     buf = io.BytesIO(b"GWVS2 2 2 25 1\n" + bytes(12))
     with pytest.raises(FormatError):
@@ -430,6 +439,29 @@ def test_records_reject_unusable_fields(tmp_path, reader, text):
     path.write_bytes((text if isinstance(text, bytes) else text.encode()) + b"\n")
     with pytest.raises(ParseError, match="line 1"):
         reader(path)
+
+
+BOX = BoundingBox(0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Detection(-1, BOX, "red", 0.5), "frame index must be >= 0"),
+    (lambda: Detection(1.5, BOX, "red", 0.5), "frame index must be an integer"),
+    (lambda: Detection(0, None, "red", 0.5), "box must be a BoundingBox"),
+    (lambda: Detection(0, BOX, 7, 0.5), "color must be a str"),
+    (lambda: Detection(0, BOX, "red", 9.5), r"score must be in \[0, 1\]"),
+    (lambda: Detection(0, BOX, "red", "0.5"), "score must be a number"),
+    (lambda: Annotation(-1, []), "frame index must be >= 0"),
+    (lambda: Annotation(0, [3]), "boxes must be a list of BoundingBox"),
+    (lambda: Annotation(0, (BOX,)), "boxes must be a list of BoundingBox"),
+    (lambda: PersonBoxes(1.5, []), "frame index must be an integer"),
+    (lambda: PersonBoxes(0, [BOX, None]), "boxes must be a list of BoundingBox"),
+], ids=["det-negative-frame", "det-float-frame", "det-no-box", "det-int-color",
+        "det-score-9.5", "det-str-score", "ann-negative-frame", "ann-int-box", "ann-tuple",
+        "persons-float-frame", "persons-none-box"])
+def test_records_check_their_fields(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 def test_detections_readable_as_annotations(tmp_path):

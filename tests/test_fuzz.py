@@ -6,7 +6,8 @@ in a numeric field must give either a result or a GarmwatchError/OSError --
 never any other exception, which the CLI would surface as a traceback.
 """
 
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from fractions import Fraction
 import io
 import json
 
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from garmwatch import (BoundingBox, ColorBand, Frame, GarmwatchError, PipelineConfig,
-                       SceneObject, ScenePerson, SceneSpec, frameio, generate_frames, synth)
+from garmwatch import (Annotation, BoundingBox, ColorBand, Detection, Frame, GarmwatchError,
+                       PersonBoxes, PipelineConfig, SceneObject, ScenePerson, SceneSpec, frameio,
+                       generate_frames, synth)
 from garmwatch.config import parse_flat_text
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -145,8 +147,10 @@ def test_parse_scene(text):
 odd_values = st.one_of(
     st.integers(-2, 300), st.floats(-2, 400), st.none(), st.booleans(),
     st.sampled_from([10**400, -10**400, float("nan"), float("inf"), float("-inf"), "3", b"3",
-                     [1, 2], [1, 2, 3], {"a": 1}, np.True_, np.array(2.0), np.array(3)]),
-    st.floats(-2, 400).map(np.float64), st.integers(-2, 300).map(np.int64))
+                     [1, 2], [1, 2, 3], {"a": 1}, np.True_, np.array(2.0), np.array(3),
+                     Fraction(1, 3), 10**17 + 1]),
+    st.floats(-2, 400).map(np.float64), st.integers(-2, 300).map(np.int64),
+    st.floats(-2, 400, width=32).map(np.float32), st.integers(-2, 300).map(np.int32))
 
 
 def set_field(record, name, value):
@@ -164,6 +168,8 @@ SCENE = SceneSpec(6, 6, 2, objects=[SceneObject((200, 0, 0), (2, 2), (0, 0),
 
 
 def scene_with(part, name, value):
+    if name == "nframes" and value == 10**17 + 1:
+        return None  # valid, and asks for more frames than any test can render
     if part == "spec":
         spec = set_field(SCENE, name, value)
     else:
@@ -172,6 +178,7 @@ def scene_with(part, name, value):
 
 
 BOX = dict(x=0, y=0, w=1, h=1)
+DETECTION = dict(frame_index=0, box=BoundingBox(0, 0, 1, 1), color="red", score=0.5)
 TRAJECTORY = ["size", "size[0]", "size[1]", "start[0]", "start[1]", "velocity",
               "velocity[0]", "velocity[1]", "appear", "disappear"]
 BUILDERS = (
@@ -183,6 +190,11 @@ BUILDERS = (
        ("val_min", lambda v: ColorBand("r", ((0.0, 10.0),), val_min=v)),
        ("frame index", lambda v: Frame(v, np.zeros((1, 1, 3), np.uint8)))]
     + [(f"box {n}", lambda v, n=n: BoundingBox(**{**BOX, n: v})) for n in BOX]
+    + [(f"detection {n}", lambda v, n=n: Detection(**{**DETECTION, n: v})) for n in DETECTION]
+    + [(f"{cls.__name__} {n}", build) for cls in (Annotation, PersonBoxes) for n, build in [
+        ("frame_index", lambda v, cls=cls: cls(v, [])),
+        ("boxes", lambda v, cls=cls: cls(0, v)),
+        ("boxes[0]", lambda v, cls=cls: cls(0, [v]))]]
     + [(f"{part} {n}", lambda v, part=part, n=n: scene_with(part, n, v))
        for part, names in [
            ("spec", ["width", "height", "nframes", "noise_sigma", "seed", "background",
@@ -193,13 +205,44 @@ BUILDERS = (
        for n in names])
 
 
+def named(name):
+    return next(b for b in BUILDERS if b[0] == name)
+
+
 @settings(max_examples=1500, deadline=None)
 @given(st.sampled_from(BUILDERS), odd_values)
+@example(named("min_area"), 10**17 + 1)
+@example(named("box x"), np.int64(1))
+@example(named("detection frame_index"), np.int64(1))
+@example(named("detection score"), np.float32(0.5))
 def test_numeric_fields_reject_or_build(builder, value):
     _, build = builder
     try:
         built = build(value)
     except GarmwatchError:
         return
+    assert_plain(built)
+    if isinstance(built, (PipelineConfig, ColorBand, BoundingBox, Detection)):
+        hash(built)
     if isinstance(built, PipelineConfig):
         assert PipelineConfig.from_mapping(built.to_mapping()) == built
+    # each record type goes through its JSONL writer
+    writes = {Detection: lambda r: frameio.write_detections([r], io.StringIO()),
+              Annotation: lambda r: frameio.write_annotations([r], io.StringIO()),
+              PersonBoxes: lambda r: frameio.write_person_boxes([r], io.StringIO()),
+              BoundingBox: lambda r: frameio.write_annotations([Annotation(0, [r])],
+                                                               io.StringIO())}
+    if type(built) in writes:
+        writes[type(built)](built)
+
+
+def assert_plain(value):
+    """Every number stored in a built record is a plain int or float."""
+    if is_dataclass(value):
+        for f in fields(value):
+            assert_plain(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            assert_plain(v)
+    elif not isinstance(value, (str, np.ndarray, type(None))):
+        assert type(value) in (int, float), value
