@@ -25,7 +25,7 @@ import os
 from dataclasses import MISSING, dataclass, fields
 
 from .colorseg import DEFAULT_BANDS, ColorBand
-from .errors import ConfigError, ValidationError, check_number
+from .errors import ConfigError, ValidationError, check_fields
 
 REFERENCE_AREA = 944 * 576
 
@@ -129,7 +129,8 @@ CLOSED_RANGES = {"history_length": (1, None), "max_components": (1, None),
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every tunable of the detection pipeline, with working defaults."""
+    """Every tunable of the detection pipeline, with working defaults; each
+    number field is stored as errors.check_fields returns it."""
 
     history_length: int = 500
     match_threshold: float = 3.0
@@ -147,13 +148,8 @@ class PipelineConfig:
     bands: tuple[ColorBand, ...] = DEFAULT_BANDS
 
     def __post_init__(self):
-        # annotations are strings here: "int", "float | None", ...
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "bands" and not (value is None and f.type.endswith("None")):
-                object.__setattr__(self, f.name, check_number(
-                    value, f.name, ConfigError, f.type.startswith("int"),
-                    *CLOSED_RANGES.get(f.name, (None, None))))
+        for name, value in check_fields(self, CLOSED_RANGES, ConfigError).items():
+            object.__setattr__(self, name, value)
         if self.match_threshold <= 0:
             raise ConfigError(f"match_threshold must be > 0, got {self.match_threshold}")
         if not 0.0 < self.background_fraction < 1.0:

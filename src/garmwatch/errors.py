@@ -2,9 +2,11 @@
 
 The CLI maps ConfigError to exit status 2 and every other GarmwatchError
 (plus OSError) to exit status 1.  check_number raises the caller's own error
-class and returns a plain int or float, so a module states only its bounds.
+class and returns a plain int or float (check_fields: for each number field
+of a dataclass record), so a module states only its bounds.
 """
 
+from dataclasses import fields
 import math
 import numbers
 
@@ -70,3 +72,25 @@ def check_number(value, what: str, error: type[GarmwatchError], integer: bool = 
         bound = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
         raise error(f"{what} must be {bound}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def check_fields(record, ranges: dict, error: type[GarmwatchError], where: str = "",
+                 skip: tuple[str, ...] = ()) -> dict:
+    """The checked value of each "int", "float" or "tuple[int, ...]" field of
+    dataclass record, by name, within ranges[name] = (lo, hi) and named as
+    where + name; a tuple is checked entry by entry.  A "T | None" field
+    holding None, the fields in skip and other fields are left out."""
+    checked = {}
+    for f in fields(record):
+        value, kind = getattr(record, f.name), f.type.split(" | ")[0]
+        if f.name in skip or value is None and f.type.endswith(" | None"):
+            continue
+        what, bounds = where + f.name, ranges.get(f.name, (None, None))
+        if kind in ("int", "float"):
+            checked[f.name] = check_number(value, what, error, kind == "int", *bounds)
+        elif kind.startswith("tuple[int"):
+            n = kind.count("int")
+            if not isinstance(value, (tuple, list)) or len(value) != n:
+                raise error(f"{what} must be {n} integers, got {value!r}")
+            checked[f.name] = tuple(check_number(v, what, error, True, *bounds) for v in value)
+    return checked

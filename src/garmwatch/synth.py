@@ -15,19 +15,22 @@ into per-color fragments.
 Scene spec files use the flat ``key = value`` format of the config module
 and are read by its helpers: the keys are the SceneSpec, SceneObject and
 ScenePerson field names.  A spec is checked when it is rendered (each
-number's type, count and range, a frame that fits in physical memory,
-trajectories inside the frame), so specs built in Python get the same
-checks as spec files and fail with a SceneError.
+number by errors.check_fields, a frame that fits in physical memory,
+trajectories inside the frame in closed form) and what renders is the
+checked spec, so specs built in Python get the same checks as spec files
+and fail with a SceneError.  generate writes each frame as it renders.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import PARSERS, parse_fields, physical_memory, split_keys
-from .errors import SceneError, check_number
+from .errors import SceneError, check_fields, check_number
 from .frameio import (Annotation, BoundingBox, Frame, PersonBoxes,
                       write_annotations, write_frame_sequence, write_person_boxes)
 
@@ -87,47 +90,40 @@ class SceneSpec:
     seed: int = 0
 
 
-def _check_ints(what: str, values, n: int, lo=None, hi=None) -> None:
-    if not isinstance(values, (tuple, list)) or len(values) != n:
-        raise SceneError(f"{what} must be {n} integers, got {values!r}")
-    for v in values:
-        check_number(v, what, SceneError, integer=True, lo=lo, hi=hi)
+# (lo, hi) of the SceneSpec, SceneObject and ScenePerson fields with closed ranges
+SCENE_RANGES = {"width": (1, None), "height": (1, None), "nframes": (0, None), "seed": (0, None),
+                "noise_sigma": (0, None), "size": (1, None), "stripe_width": (1, None),
+                "background": (0, 255), "color": (0, 255), "stripe_color": (0, 255)}
 
 
-def _validate(spec: SceneSpec) -> None:
-    ints = {name: check_number(getattr(spec, name), name, SceneError, integer=True, lo=lo)
-            for name, lo in (("width", 1), ("height", 1), ("nframes", 0), ("seed", 0))}
-    if 3 * ints["width"] * ints["height"] > physical_memory():
+def _validate(spec: SceneSpec) -> SceneSpec:
+    """spec rebuilt from its checked values, or a SceneError.  Motion is
+    affine in t, so a box inside the frame on its first visible frame stays
+    inside until a moving axis runs out of room."""
+    textured = isinstance(spec.background, str)
+    if textured and spec.background != TEXTURE:
+        raise SceneError(f"background must be an RGB triple or {TEXTURE!r}")
+    spec = replace(spec, **check_fields(spec, SCENE_RANGES, SceneError,
+                                        skip=("background",) if textured else ()))
+    if 3 * spec.width * spec.height > physical_memory():
         raise SceneError(f"one {spec.width}x{spec.height} frame needs more than the "
                          f"{physical_memory() / 2**30:.1f} GiB of physical memory")
-    check_number(spec.noise_sigma, "noise_sigma", SceneError, lo=0)
-    if isinstance(spec.background, str):
-        if spec.background != TEXTURE:
-            raise SceneError(f"background must be an RGB triple or {TEXTURE!r}")
-    else:
-        _check_ints("background", spec.background, 3, 0, 255)
-    for i, obj in enumerate(spec.objects, start=1):
-        _check_ints(f"object {i}: color", obj.color, 3, 0, 255)
-        if obj.stripe_color is not None:
-            _check_ints(f"object {i}: stripe_color", obj.stripe_color, 3, 0, 255)
-        check_number(obj.stripe_width, f"object {i}: stripe_width", SceneError, integer=True, lo=1)
-    for kind, items in (("object", spec.objects), ("person", spec.persons)):
+    kinds = {kind: [replace(obj, **check_fields(obj, SCENE_RANGES, SceneError, f"{kind} {i}: "))
+                    for i, obj in enumerate(items, start=1)]
+             for kind, items in (("object", spec.objects), ("person", spec.persons))}
+    for kind, items in kinds.items():
         for i, obj in enumerate(items, start=1):
-            _check_ints(f"{kind} {i}: size", obj.size, 2, lo=1)
-            _check_ints(f"{kind} {i}: start", obj.start, 2)
-            _check_ints(f"{kind} {i}: velocity", obj.velocity, 2)
-            check_number(obj.appear, f"{kind} {i}: appear", SceneError, integer=True)
-            if obj.disappear is not None:
-                check_number(obj.disappear, f"{kind} {i}: disappear", SceneError, integer=True)
-            w, h = obj.size
-            for t in range(spec.nframes):
-                if not obj.visible(t, spec.nframes):
-                    continue
+            t = max(obj.appear, 0)
+            end = spec.nframes if obj.disappear is None else min(obj.disappear, spec.nframes)
+            rooms = (spec.width - obj.size[0], spec.height - obj.size[1])
+            if t < end and all(0 <= p <= room for p, room in zip(obj.position(t), rooms)):
+                t = min([end] + [obj.appear + ((room - s) if v > 0 else s) // abs(v) + 1
+                                 for s, v, room in zip(obj.start, obj.velocity, rooms) if v])
+            if t < end:
                 x, y = obj.position(t)
-                if x < 0 or y < 0 or x + w > spec.width or y + h > spec.height:
-                    raise SceneError(
-                        f"{kind} {i} leaves the {spec.width}x{spec.height} frame "
-                        f"at frame {t} (box {x},{y},{w},{h})")
+                raise SceneError(f"{kind} {i} leaves the {spec.width}x{spec.height} frame "
+                                 f"at frame {t} (box {x},{y},{obj.size[0]},{obj.size[1]})")
+    return replace(spec, objects=kinds["object"], persons=kinds["person"])
 
 
 def _paint(canvas: np.ndarray, obj: SceneObject | ScenePerson, frame: int) -> BoundingBox:
@@ -155,8 +151,7 @@ def generate_frames(spec: SceneSpec):
     person box stays visible -- the worn-garment case the person filter
     is there to discard.
     """
-    _validate(spec)
-    return _frames(spec)
+    return _frames(_validate(spec))
 
 
 def _frames(spec: SceneSpec):
@@ -184,26 +179,28 @@ def _frames(spec: SceneSpec):
 
 
 def generate(spec: SceneSpec, out_dir, gt_path, persons_path=None) -> int:
-    """Render the scene to disk frame by frame; returns the frame count."""
-    annotations, persons = [], []
+    """Render the scene to disk, each frame's PPM, ground-truth and person
+    lines as it renders, once the spec is valid; returns the frame count."""
+    spec = _validate(spec)
+    os.makedirs(out_dir, exist_ok=True)  # first, as it may make gt_path's directory
+    with (open(gt_path, "w", encoding="utf-8") as gt,
+          nullcontext() if persons_path is None
+          else open(persons_path, "w", encoding="utf-8") as persons):
 
-    def frames(rows):
-        for frame, annotation, person_boxes in rows:
-            annotations.append(annotation)
-            persons.append(person_boxes)
-            yield frame
+        def frames():
+            for frame, annotation, person_boxes in _frames(spec):
+                write_annotations([annotation], gt)
+                if persons is not None:
+                    write_person_boxes([person_boxes], persons)
+                yield frame
 
-    count = write_frame_sequence(frames(generate_frames(spec)), out_dir)
-    write_annotations(annotations, gt_path)
-    if persons_path is not None:
-        write_person_boxes(persons, persons_path)
-    return count
+        return write_frame_sequence(frames(), out_dir)
 
 
 def warmup_prefix(spec: SceneSpec, warmup_frames: int) -> SceneSpec:
     """Delay every object and person by warmup_frames and extend the scene,
     leaving a pure-background prefix for the model to converge on."""
-    check_number(warmup_frames, "warmup_frames", SceneError, integer=True, lo=0)
+    warmup_frames = check_number(warmup_frames, "warmup_frames", SceneError, integer=True, lo=0)
     if warmup_frames == 0:
         return spec
 

@@ -1,5 +1,7 @@
-import tracemalloc
 from dataclasses import replace
+import gc
+import time
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,8 +181,68 @@ def test_generate_validates_once(tmp_path, monkeypatch):
     generate(spec, tmp_path / "frames", tmp_path / "gt.jsonl")
     assert calls == [spec]
     with pytest.raises(SceneError):
-        generate(SceneSpec(0, 6, 2), tmp_path / "bad", tmp_path / "bad.jsonl")
+        generate(SceneSpec(0, 6, 2), tmp_path / "bad", tmp_path / "bad.jsonl",
+                 tmp_path / "bad-persons.jsonl")
     assert not (tmp_path / "bad").exists()
+    assert not (tmp_path / "bad.jsonl").exists()
+    assert not (tmp_path / "bad-persons.jsonl").exists()
+
+
+def test_numpy_appear_renders_without_wrapping():
+    # frame - appear would wrap in int64; the checked spec holds plain ints
+    obj = SceneObject((200, 0, 0), (1, 1), (0, 0), appear=np.int64(-2**63))
+    rows = render(SceneSpec(8, 8, 3, objects=[obj]))
+    assert [ann.boxes for _, ann, _ in rows] == [[BoundingBox(0, 0, 1, 1)]] * 3
+
+
+def test_long_scene_yields_first_frame_at_once():
+    spec = SceneSpec(6, 6, 10**17 + 1,
+                     objects=[SceneObject((200, 0, 0), (2, 2), (0, 0), disappear=4)],
+                     persons=[ScenePerson((1, 1), (3, 3))])
+    start = time.perf_counter()
+    frame, ann, persons = next(generate_frames(spec))
+    assert time.perf_counter() - start < 1
+    assert (frame.index, ann.boxes, persons.boxes) == (
+        0, [BoundingBox(0, 0, 2, 2)], [BoundingBox(3, 3, 1, 1)])
+    with pytest.raises(SceneError, match=r"person 1 .*frame 3 \(box 6,3,1,1\)"):
+        generate_frames(replace(spec, persons=[ScenePerson((1, 1), (3, 3), velocity=(1, 0))]))
+
+
+def walk(spec):
+    """The per-frame reference for the trajectory bound: the message for the
+    first visible frame on which a box leaves the frame, or None."""
+    for kind, items in (("object", spec.objects), ("person", spec.persons)):
+        for i, obj in enumerate(items, start=1):
+            w, h = obj.size
+            for t in range(spec.nframes):
+                if obj.visible(t, spec.nframes):
+                    x, y = obj.position(t)
+                    if x < 0 or y < 0 or x + w > spec.width or y + h > spec.height:
+                        return (f"{kind} {i} leaves the {spec.width}x{spec.height} frame "
+                                f"at frame {t} (box {x},{y},{w},{h})")
+    return None
+
+
+PAIRS = st.tuples(st.integers(-6, 14), st.integers(-6, 14))
+TRAJECTORIES = st.fixed_dictionaries({
+    "size": st.tuples(st.integers(1, 8), st.integers(1, 8)), "start": PAIRS,
+    "velocity": st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    "appear": st.integers(-8, 20), "disappear": st.none() | st.integers(-6, 25)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 20),
+       st.lists(TRAJECTORIES, max_size=2), st.lists(TRAJECTORIES, max_size=2))
+def test_trajectory_bound_matches_per_frame_walk(width, height, nframes, objects, persons):
+    spec = SceneSpec(width, height, nframes,
+                     objects=[SceneObject((200, 0, 0), **kw) for kw in objects],
+                     persons=[ScenePerson(**kw) for kw in persons])
+    try:
+        checked = synth._validate(spec)
+    except SceneError as e:
+        assert str(e) == walk(spec)
+    else:
+        assert walk(spec) is None and checked == spec
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +288,29 @@ def test_generate_streams_frames(tmp_path):
     assert peak < 5 * 160 * 120 * 3
 
 
+def test_generate_memory_flat_in_frame_count(tmp_path):
+    # the ground-truth and person lines go out as each frame renders; held
+    # until the end, the records cost ~0.7 KB a frame
+    def generate_peak(nframes):
+        spec = SceneSpec(16, 12, nframes,
+                         objects=[SceneObject((200, 0, 0), (2, 2), (1, 1), velocity=(1, 0),
+                                              disappear=10)],
+                         persons=[ScenePerson((3, 3), (8, 6))])
+        out = tmp_path / str(nframes)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert generate(spec, out, tmp_path / f"{nframes}.jsonl",
+                            tmp_path / f"{nframes}-persons.jsonl") == nframes
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    generate_peak(5)  # first-call caches
+    short, long = generate_peak(200), generate_peak(2000)
+    assert long - short < 64 * 1024  # the two files' write buffers
+
+
 # ---------------------------------------------------------------------------
 # warmup_prefix
 
@@ -246,6 +331,21 @@ def test_warmup_shifts_appearances():
     assert shifted.objects[0].appear == 102
     assert shifted.objects[0].disappear == 108
     assert shifted.persons[0].appear == 101
+
+
+WARMUP_SCENE = SceneSpec(40, 30, 10, objects=[SceneObject((200, 0, 0), (5, 5), (0, 0),
+                                                         appear=1)])
+
+
+def test_warmup_shifts_by_plain_int():
+    shifted = warmup_prefix(WARMUP_SCENE, np.int64(5))
+    assert type(shifted.nframes) is int and type(shifted.objects[0].appear) is int
+
+
+def test_warmup_shift_does_not_wrap():
+    # np.int64(2**63 - 1) + 1 wraps, with a RuntimeWarning
+    shifted = warmup_prefix(WARMUP_SCENE, np.int64(2**63 - 1))
+    assert (shifted.nframes, shifted.objects[0].appear) == (2**63 + 9, 2**63)
 
 
 def test_warmup_prefix_is_pure_background():
