@@ -32,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import PipelineConfig, physical_memory
+from .config import PipelineConfig, check_memory
 from .errors import ConfigError, ShapeError, check_number
 from .frameio import Frame
 
@@ -61,13 +61,8 @@ class BackgroundModel:
         height = check_number(height, "model height", ConfigError, integer=True, lo=1)
         cfg = replace(config or PipelineConfig(), **overrides)
         # weight, mean and variance: 8 + 24 + 8 bytes per slot and pixel
-        state = 40 * cfg.max_components * width * height
-        memory = physical_memory()
-        if state > memory:
-            raise ConfigError(
-                f"max_components={cfg.max_components} at {width}x{height} needs "
-                f"{state / 2**30:.1f} GiB of model state, more than the "
-                f"{memory / 2**30:.1f} GiB of physical memory")
+        check_memory(40 * cfg.max_components * width * height, f"model state for "
+                     f"max_components={cfg.max_components} at {width}x{height}", ConfigError)
 
         self.width = width
         self.height = height
@@ -220,8 +215,5 @@ class BackgroundModel:
 
 def apply_mask(frame: Frame, mask: np.ndarray) -> Frame:
     """Foreground image: keep pixels where the mask is set, zero the rest."""
-    if mask.shape != (frame.height, frame.width):
-        raise ShapeError(
-            f"mask is {mask.shape}, frame is {(frame.height, frame.width)}")
-    out = np.where(mask.astype(bool)[:, :, None], frame.pixels, 0).astype(np.uint8)
+    out = np.where(frame.check_mask(mask)[:, :, None], frame.pixels, 0).astype(np.uint8)
     return Frame(frame.index, out)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import ValidationError, check_number
 from .frameio import BoundingBox, Detection, PersonBoxes
 from .regions import Region
@@ -70,7 +71,7 @@ def cluster_contours(regions: list[Region], color_label: str,
 
 
 def exclude_persons(clusters: list[RegionCluster], persons: PersonBoxes | None,
-                    containment_min: float = 0.5) -> list[RegionCluster]:
+                    containment_min=PipelineConfig.containment_min) -> list[RegionCluster]:
     """Drop clusters whose bbox lies mostly under the person boxes.
 
     A cluster goes when the union of person boxes covers at least
@@ -94,8 +95,7 @@ def exclude_persons(clusters: list[RegionCluster], persons: PersonBoxes | None,
 def to_detections(clusters: list[RegionCluster], frame_index: int,
                   frame_area: int) -> list[Detection]:
     """One Detection per cluster; score is its area share of the frame."""
-    if frame_area <= 0:
-        raise ValidationError(f"frame_area must be > 0, got {frame_area}")
+    frame_area = check_number(frame_area, "frame_area", ValidationError, integer=True, lo=1)
     return [Detection(frame_index, c.bbox, c.color_label,
                       min(1.0, c.total_area / frame_area))
             for c in clusters]

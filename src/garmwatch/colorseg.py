@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, check_number
+from .errors import ValidationError, check_number
 from .frameio import Frame
 
 
@@ -128,8 +128,7 @@ def band_masks(frame: Frame, fg: np.ndarray, bands, threshold: int) -> list[np.n
     Equals binarize(masked_to_gray(F, color_mask(F, band)), threshold) with
     F = apply_mask(frame, fg) for any threshold >= 0, as F is black outside fg.
     """
-    if fg.shape != (frame.height, frame.width):
-        raise ShapeError(f"mask is {fg.shape}, frame is {(frame.height, frame.width)}")
+    fg = frame.check_mask(fg)
     idx = np.flatnonzero(fg)
     pixels = frame.pixels.reshape(-1, 3)[idx]
     bright = _luma(pixels) > threshold
@@ -145,6 +144,4 @@ def masked_to_gray(fframe: Frame, mask: np.ndarray) -> np.ndarray:
 
     Returns a uint8 array of shape (height, width).
     """
-    if mask.shape != (fframe.height, fframe.width):
-        raise ShapeError(f"mask is {mask.shape}, frame is {(fframe.height, fframe.width)}")
-    return np.where(mask.astype(bool), _luma(fframe.pixels), 0.0).astype(np.uint8)
+    return np.where(fframe.check_mask(mask), _luma(fframe.pixels), 0.0).astype(np.uint8)

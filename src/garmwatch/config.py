@@ -25,14 +25,24 @@ import os
 from dataclasses import MISSING, dataclass, fields
 
 from .colorseg import DEFAULT_BANDS, ColorBand
-from .errors import ConfigError, ValidationError, check_fields
+from .errors import ConfigError, ValidationError, check_fields, check_number
 
 REFERENCE_AREA = 944 * 576
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory, the bound on what one allocation may need."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def check_memory(need: int, what: str, error: type[Exception]) -> None:
+    """Raise error, naming what, unless need bytes fit in physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise error(f"{what} needs more than the {memory / 2**30:.1f} GiB of physical memory")
+
+
+def check_se_size(se_size, error: type[Exception] = ValidationError) -> int:
+    """se_size as an int, or error unless it is an odd integer >= 3."""
+    se_size = check_number(se_size, "se_size", error, integer=True, lo=3)
+    if se_size % 2 == 0:
+        raise error(f"se_size must be odd, got {se_size}")
+    return se_size
 
 
 def parse_flat_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -122,15 +132,15 @@ def parse_fields(cls, values: dict[str, str], error: type[Exception], where: str
 
 # (lo, hi) of the PipelineConfig fields with closed ranges; None is unbounded
 CLOSED_RANGES = {"history_length": (1, None), "max_components": (1, None),
-                 "binarize_threshold": (0, 255), "se_size": (3, None), "min_area": (0, None),
+                 "binarize_threshold": (0, 255), "min_area": (0, None),
                  "gap_threshold": (0, None), "containment_min": (0, 1),
                  "warmup_frames": (0, None)}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every tunable of the detection pipeline, with working defaults; each
-    number field is stored as errors.check_fields returns it."""
+    """Every tunable of the detection pipeline, with working defaults that the
+    stage functions share; each number field is stored as checked."""
 
     history_length: int = 500
     match_threshold: float = 3.0
@@ -150,6 +160,7 @@ class PipelineConfig:
     def __post_init__(self):
         for name, value in check_fields(self, CLOSED_RANGES, ConfigError).items():
             object.__setattr__(self, name, value)
+        check_se_size(self.se_size, ConfigError)
         if self.match_threshold <= 0:
             raise ConfigError(f"match_threshold must be > 0, got {self.match_threshold}")
         if not 0.0 < self.background_fraction < 1.0:
@@ -158,8 +169,6 @@ class PipelineConfig:
         if not 0.0 < self.var_min <= self.var_init <= self.var_max:
             raise ConfigError(f"need 0 < var_min <= var_init <= var_max, got "
                               f"{self.var_min}, {self.var_init}, {self.var_max}")
-        if self.se_size % 2 == 0:
-            raise ConfigError(f"se_size must be odd, got {self.se_size}")
         if not isinstance(self.bands, tuple):
             raise ConfigError(f"bands must be a tuple of ColorBand, got {self.bands!r}")
         if not self.bands:

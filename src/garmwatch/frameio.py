@@ -30,8 +30,8 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import (FormatError, ParseError, SequenceError, StreamError, ValidationError,
-                     check_number)
+from .errors import (FormatError, ParseError, SequenceError, ShapeError, StreamError,
+                     ValidationError, check_number)
 
 FRAME_NAME_RE = re.compile(r"frame_(\d+)\.ppm", re.ASCII)
 # magic, width, height, maxval, each after whitespace and '#' comments; the
@@ -64,6 +64,12 @@ class Frame:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
+
+    def check_mask(self, mask) -> np.ndarray:
+        """mask as a bool array, or ShapeError unless its shape is (height, width)."""
+        if np.shape(mask) != self.pixels.shape[:2]:
+            raise ShapeError(f"mask is {np.shape(mask)}, frame is {self.pixels.shape[:2]}")
+        return np.asarray(mask, dtype=bool)
 
 
 @dataclass(frozen=True)

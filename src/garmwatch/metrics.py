@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .frameio import Annotation, BoundingBox, Detection
 
 
@@ -37,6 +37,14 @@ class EvalReport:
     recall: float
     mean_iou: float
     threshold: float
+
+
+def _check_tau(tau) -> float:
+    """tau as a float, or ValidationError unless it is a number in (0, 1)."""
+    tau = check_number(tau, "tau", ValidationError)
+    if not 0.0 < tau < 1.0:
+        raise ValidationError(f"tau must be in (0, 1), got {tau}")
+    return tau
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -72,9 +80,7 @@ def match_frame(dets: list[BoundingBox], gts: list[BoundingBox],
     IoU is >= tau.  Returns the counts and the matched pairs' IoUs in
     match order.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValidationError(f"tau must be in (0, 1), got {tau}")
-    matched_ious = _greedy(_candidates(dets, gts), tau)
+    matched_ious = _greedy(_candidates(dets, gts), _check_tau(tau))
     tp = len(matched_ious)
     return EvalCounts(tp, len(dets) - tp, len(gts) - tp), matched_ious
 
@@ -109,8 +115,7 @@ def evaluate(detections: list[Detection], annotations: list[Annotation],
     Frames present on only one side count with an empty box list for the
     other.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValidationError(f"tau must be in (0, 1), got {tau}")
+    tau = _check_tau(tau)
     frames = _by_frame(detections, annotations)
     all_ious = [v for dets, gts in frames for v in _greedy(_candidates(dets, gts), tau)]
     tp, ndet, ngt = len(all_ious), len(detections), sum(len(gts) for _, gts in frames)
@@ -127,16 +132,17 @@ DEFAULT_TAUS = tuple(round(0.05 * i, 10) for i in range(1, 20))
 def pr_curve(detections: list[Detection], annotations: list[Annotation],
              taus=DEFAULT_TAUS) -> list[tuple[float, float, float]]:
     """Evaluate at each threshold, computing every IoU once; rows are
-    (tau, precision, recall)."""
-    taus = list(taus)
-    if any(not 0.0 < t < 1.0 for t in taus):
-        raise ValidationError("every tau must be in (0, 1)")
+    (tau, precision, recall).  Frames are scored one at a time, adding to a
+    true-positive count per threshold."""
+    taus = [_check_tau(tau) for tau in taus]
     if taus != sorted(taus):
         raise ValidationError("taus must be sorted ascending")
     frames = _by_frame(detections, annotations)
-    candidates = [_candidates(dets, gts) for dets, gts in frames]
+    tps = [0] * len(taus)
+    for dets, gts in frames:
+        pairs = _candidates(dets, gts)
+        tps = [tp + len(_greedy(pairs, tau)) for tp, tau in zip(tps, taus)]
     ndet, ngt = len(detections), sum(len(gts) for _, gts in frames)
-    tps = (sum(len(_greedy(pairs, tau)) for pairs in candidates) for tau in taus)
     return [(tau, _ratio(tp, ndet, ngt), _ratio(tp, ngt, ndet)) for tau, tp in zip(taus, tps)]
 
 

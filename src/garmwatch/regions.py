@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .config import PipelineConfig, check_se_size
 from .errors import ValidationError, check_number
 from .frameio import BoundingBox
 
@@ -76,11 +77,6 @@ def binarize(gframe: np.ndarray, threshold: int) -> np.ndarray:
     return np.asarray(gframe) > threshold
 
 
-def _check_se_size(se_size: int) -> None:
-    if se_size < 3 or se_size % 2 == 0:
-        raise ValidationError(f"structuring element size must be odd and >= 3, got {se_size}")
-
-
 def _square_run(mask: np.ndarray, size: int, op, pad: bool) -> np.ndarray:
     # op (np.logical_or or np.logical_and) over the size x size window
     # centred on each pixel, reading pad past the border.
@@ -102,9 +98,9 @@ def _square_run(mask: np.ndarray, size: int, op, pad: bool) -> np.ndarray:
     return buf[:h, :w]
 
 
-def close(mask: np.ndarray, se_size: int = 5) -> np.ndarray:
+def close(mask: np.ndarray, se_size: int = PipelineConfig.se_size) -> np.ndarray:
     """Morphological closing with a square structuring element."""
-    _check_se_size(se_size)
+    se_size = check_se_size(se_size)
     mask = np.asarray(mask, dtype=bool)
     size = min(se_size, max(3, 2 * max(mask.shape) - 1))
     dilated = _square_run(mask, size, np.logical_or, False)
@@ -122,10 +118,10 @@ def components(mask: np.ndarray) -> list[Region]:
     return found
 
 
-def closed_regions(mask: np.ndarray, se_size: int = 5) -> list[Region]:
+def closed_regions(mask: np.ndarray, se_size: int = PipelineConfig.se_size) -> list[Region]:
     """components(close(mask, se_size)), closed and labelled inside the window
     of the mask's set pixels; [] without closing for an empty mask."""
-    _check_se_size(se_size)
+    se_size = check_se_size(se_size)
     mask = np.asarray(mask, dtype=bool)
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:

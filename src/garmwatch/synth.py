@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import PARSERS, parse_fields, physical_memory, split_keys
+from .config import PARSERS, check_memory, parse_fields, split_keys
 from .errors import SceneError, check_fields, check_number
 from .frameio import (Annotation, BoundingBox, Frame, PersonBoxes,
                       write_annotations, write_frame_sequence, write_person_boxes)
@@ -105,12 +105,17 @@ def _validate(spec: SceneSpec) -> SceneSpec:
         raise SceneError(f"background must be an RGB triple or {TEXTURE!r}")
     spec = replace(spec, **check_fields(spec, SCENE_RANGES, SceneError,
                                         skip=("background",) if textured else ()))
-    if 3 * spec.width * spec.height > physical_memory():
-        raise SceneError(f"one {spec.width}x{spec.height} frame needs more than the "
-                         f"{physical_memory() / 2**30:.1f} GiB of physical memory")
-    kinds = {kind: [replace(obj, **check_fields(obj, SCENE_RANGES, SceneError, f"{kind} {i}: "))
-                    for i, obj in enumerate(items, start=1)]
-             for kind, items in (("object", spec.objects), ("person", spec.persons))}
+    check_memory(3 * spec.width * spec.height, f"one {spec.width}x{spec.height} frame", SceneError)
+    kinds = {}
+    for kind, cls, items in (("object", SceneObject, spec.objects),
+                             ("person", ScenePerson, spec.persons)):
+        if not isinstance(items, list):
+            raise SceneError(f"{kind}s must be a list of {cls.__name__}, got {items!r}")
+        for i, obj in enumerate(items, start=1):
+            if not isinstance(obj, cls):
+                raise SceneError(f"{kind} {i} must be a {cls.__name__}, got {obj!r}")
+        kinds[kind] = [replace(obj, **check_fields(obj, SCENE_RANGES, SceneError, f"{kind} {i}: "))
+                       for i, obj in enumerate(items, start=1)]
     for kind, items in kinds.items():
         for i, obj in enumerate(items, start=1):
             t = max(obj.appear, 0)

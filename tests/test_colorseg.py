@@ -106,6 +106,13 @@ def test_hsv_planes_exact(triples):
         assert tuple(float(plane[i]) for plane in got) == rgb_to_hsv(rgb), rgb
 
 
+def test_hsv_planes_exact_on_every_rgb_triple(capsys):
+    # the goldens' byte identity rests on this; the script also runs on its own
+    import check_hsv_exhaustive  # reads its reference from this module, already loaded
+    assert check_hsv_exhaustive.main() == 0
+    assert capsys.readouterr().out.startswith("16777216 triples, 0 mismatches")
+
+
 # ---------------------------------------------------------------------------
 # ColorBand validation
 

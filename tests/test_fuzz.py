@@ -11,16 +11,21 @@ from fractions import Fraction
 import io
 from itertools import islice
 import json
+import math
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from garmwatch import (Annotation, BoundingBox, ColorBand, Detection, Frame, GarmwatchError,
-                       PersonBoxes, PipelineConfig, SceneObject, ScenePerson, SceneSpec, frameio,
-                       generate_frames, synth)
+from garmwatch import (DEFAULT_BANDS, Annotation, BackgroundModel, BoundingBox, ColorBand,
+                       ConfigError, Detection, Frame, GarmwatchError, PersonBoxes, PipelineConfig,
+                       SceneError, SceneObject, ScenePerson, SceneSpec, ShapeError,
+                       ValidationError, apply_mask, close, evaluate, frameio, generate_frames,
+                       masked_to_gray, match_frame, pr_curve, synth, to_detections)
+from garmwatch.colorseg import band_masks
 from garmwatch.config import parse_flat_text
+from garmwatch.regions import closed_regions
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -259,3 +264,51 @@ def assert_plain(value):
             assert_plain(v)
     elif not isinstance(value, (str, np.ndarray, type(None))):
         assert type(value) in (int, float), value
+
+
+# Each rule that has one owner, at every entry point that checks it: a bad
+# value of each kind ends in that entry point's GarmwatchError subclass, never
+# in a TypeError from the arithmetic.  Kinds that do not apply are left out
+# (a tau has no integer form); "range" is out of the rule's range, which for
+# the grid sizes is past physical memory.
+FRAME = Frame(0, np.zeros((3, 4, 3), np.uint8))
+MASK = np.zeros((3, 4), bool)
+RULES = {
+    "config-se_size": (lambda v: PipelineConfig(se_size=v), ConfigError,
+                       {"str": "5", "none": None, "float": 5.0, "nan": math.nan, "range": 4}),
+    "close": (lambda v: close(MASK, v), ValidationError,
+              {"str": "5", "none": None, "float": 5.0, "nan": math.nan, "range": 1}),
+    "closed_regions": (lambda v: closed_regions(MASK, v), ValidationError,
+                       {"str": "5", "none": None, "float": 5.0, "nan": math.nan, "range": 4}),
+    "match_frame": (lambda v: match_frame([], [], v), ValidationError,
+                    {"str": "0.5", "none": None, "nan": math.nan, "range": 1.0}),
+    "evaluate": (lambda v: evaluate([], [], v), ValidationError,
+                 {"str": "0.5", "none": None, "nan": math.nan, "range": 0.0}),
+    "pr_curve": (lambda v: pr_curve([], [], [v]), ValidationError,
+                 {"str": "0.5", "none": None, "nan": math.nan, "range": 1.5}),
+    "to_detections": (lambda v: to_detections([], 0, v), ValidationError,
+                      {"str": "9", "none": None, "float": 9.0, "nan": math.nan, "range": 0}),
+    "apply_mask": (lambda v: apply_mask(FRAME, v), ShapeError,
+                   {"str": "mask", "none": None, "float": 1.0, "nan": math.nan,
+                    "range": MASK.T}),
+    "band_masks": (lambda v: band_masks(FRAME, v, DEFAULT_BANDS, 40), ShapeError,
+                   {"str": "mask", "none": None, "float": 1.0, "nan": math.nan,
+                    "range": MASK[:2]}),
+    "masked_to_gray": (lambda v: masked_to_gray(FRAME, v), ShapeError,
+                       {"str": "mask", "none": None, "float": 1.0, "nan": math.nan,
+                        "range": MASK[None]}),
+    "model-memory": (lambda v: BackgroundModel(v, 4), ConfigError,
+                     {"str": "4", "none": None, "float": 4.0, "nan": math.nan,
+                      "range": 2**40}),
+    "scene-memory": (lambda v: generate_frames(SceneSpec(v, 4, 1)), SceneError,
+                     {"str": "4", "none": None, "float": 4.0, "nan": math.nan,
+                      "range": 2**40}),
+}
+
+
+@pytest.mark.parametrize("call, error, value", [
+    pytest.param(call, error, value, id=f"{entry}-{kind}")
+    for entry, (call, error, values) in RULES.items() for kind, value in values.items()])
+def test_rules_reject_each_kind_of_bad_value(call, error, value):
+    with pytest.raises(error):
+        call(value)

@@ -168,6 +168,18 @@ def test_scene_person_fields_are_checked(kw):
         render(SceneSpec(8, 8, 2, persons=[person]))
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"objects": [5]}, "object 1 must be a SceneObject"),
+    ({"objects": [ScenePerson((1, 1), (0, 0))]}, "object 1 must be a SceneObject"),
+    ({"persons": [SceneObject((200, 0, 0), (1, 1), (0, 0))]}, "person 1 must be a ScenePerson"),
+    ({"objects": None}, "objects must be a list"),
+], ids=["int-object", "person-as-object", "object-as-person", "none-objects"])
+def test_scene_entries_must_be_their_kind(kw, message):
+    # a person among the objects would paint as a person yet be listed as truth
+    with pytest.raises(SceneError, match=message):
+        generate_frames(replace(SceneSpec(4, 4, 1), **kw))
+
+
 def test_generate_frames_validates_when_called():
     with pytest.raises(SceneError):
         generate_frames(SceneSpec(0, 10, 1))  # no frame drawn
