@@ -21,7 +21,11 @@ remain.  Components are never deleted.  The whole update is deterministic.
 No pixel reads another's mixture, so pixels are updated in parallel row
 strips, one per usable CPU; the result does not depend on the strip count.
 All strips but the caller's run on a thread pool that the model owns; its
-threads end when the model is freed, so there is nothing to close.
+threads end when the model is freed, so there is nothing to close.  Each
+strip writes its per-frame temporaries into buffers of its own, allocated
+once with the model (98 bytes per pixel) and reused on every frame; an
+update allocates only its returned mask and arrays sized by the pixels
+that missed or reordered their slots.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ class BackgroundModel:
     one written slot, matched or fresh, by flat index into the full arrays.
     Slots past ncomp hold weight 0 and are ignored.  Each pixel's slots are
     kept sorted by descending weight (stable, so ties keep their order).
+    Each row strip owns update buffers allocated once here and reused every
+    frame: 98 bytes per pixel (eight float64, four int64 and two bool rows).
     The strip threads end when the model is freed.
     """
 
@@ -86,6 +92,7 @@ class BackgroundModel:
         cuts = [width * (height * s // self._strips) for s in range(self._strips + 1)]
         self._spans = list(zip(cuts[:-1], cuts[1:]))
         self._pool = ThreadPoolExecutor(max(self._strips - 1, 1), "garmwatch-bgsub")
+        self._work = {lo: _workspace(lo, hi) for lo, hi in self._spans}
 
     def update(self, frame: Frame) -> np.ndarray:
         """Classify the frame against the current model, then fold it in.
@@ -121,8 +128,11 @@ class BackgroundModel:
         weight, variance = self.weight[:, lo:hi], self.variance[:, lo:hi]
         planes = self._planes[:, :, lo:hi]
         ncomp = self.ncomp[lo:hi]
-        m, n = weight.shape
-        x = np.ascontiguousarray(pixels[lo:hi].T, dtype=np.float64)
+        m = len(weight)
+        floats, (rows, closest, at, at_mean), (hit, cond) = self._work[lo]
+        x, (d2, diff, above, best, dd) = floats[:3], floats[3:]
+        np.copyto(x, pixels[lo:hi].T)
+        bg = fg[lo:hi]  # True = background until the last line inverts it
 
         # one pass down the slots classifies and matches every pixel, keeping
         # only per-pixel running state: `above` sums the weights of the slots
@@ -134,24 +144,24 @@ class BackgroundModel:
         kmax = int(ncomp.max())
         limit = 3.0 * cfg.match_threshold ** 2
         prefix = 1.0 - cfg.background_fraction
-        bg = np.zeros(n, dtype=bool)
-        above = np.zeros(n)
-        best = np.full(n, np.inf)
-        closest = np.zeros(n, dtype=np.int64)
-        d2, diff = np.empty(n), np.empty(n)
+        bg.fill(False)
+        above.fill(0.0)
+        best.fill(np.inf)
         for k in range(kmax):
             d2.fill(0.0)
             for c in (0, 2, 1):
                 np.subtract(x[c], planes[k, c], out=diff)
                 d2 += np.square(diff, out=diff)
-            hit = (d2 <= np.multiply(variance[k], limit, out=diff)) & (ncomp > k)
-            bg |= hit & (above <= prefix)
+            np.less_equal(d2, np.multiply(variance[k], limit, out=diff), out=hit)
+            hit &= np.greater(ncomp, k, out=cond)
+            bg |= np.logical_and(hit, np.less_equal(above, prefix, out=cond), out=cond)
             above += weight[k]
-            hit &= d2 < best
-            closest[hit] = k
+            hit &= np.less(d2, best, out=cond)
+            np.copyto(closest, k, where=hit)
             np.copyto(best, d2, where=hit)
-        has_match = best < np.inf
-        del above, best, d2, diff, hit  # the write's temporaries reuse their pages
+        has_match, fresh = hit, cond
+        np.less(best, np.inf, out=has_match)
+        np.logical_not(has_match, out=fresh)
 
         # each pixel writes one slot of its own column, gathered and scattered
         # by flat index into the full arrays, contiguous where the strip views
@@ -159,30 +169,41 @@ class BackgroundModel:
         # k·3N + c·N + i): its closest match, else a fresh one in its first
         # free slot, or its last (lowest-weight) one when full.  All take the
         # matched update (delta·delta adds up as d2 does), then a fresh pixel's
-        # finite results (w_new >= eta > 0) are replaced by eta, x and var_init
-        fresh = ~has_match
-        np.copyto(closest, np.minimum(ncomp, m - 1), where=fresh)
+        # finite results (w_new >= eta > 0) are replaced by eta, x and var_init.
+        # The matched update's temporaries reuse the classify pass's buffers,
+        # dead by now; every index is in range, so mode="clip" only spares take
+        # a copy of out
+        w_new, rho, mu, delta = d2, diff, above, best
+        np.minimum(ncomp, m - 1, out=closest, where=fresh)
         np.multiply(weight[:kmax], 1.0 - eta, out=weight[:kmax], where=has_match)
         npx = self.weight.shape[1]
-        at = closest * npx + np.arange(lo, hi)
-        w_new = np.take(self.weight, at) + eta
+        np.add(np.multiply(closest, npx, out=at), rows, out=at)
+        flat_weight = self.weight.reshape(-1)
+        np.take(flat_weight, at, out=w_new, mode="clip")
+        w_new += eta
         np.copyto(w_new, eta, where=fresh)
-        np.put(self.weight, at, w_new)
-        rho = eta / w_new
-        at_mean = at + closest * 2 * npx
-        dd = []
-        for c in range(3):
-            mu = np.take(self._planes, at_mean)
-            delta = x[c] - mu
-            mu += rho * delta
+        flat_weight[at] = w_new
+        np.divide(eta, w_new, out=rho)
+        flat_planes = self._planes.reshape(-1)
+        at_mean0 = np.add(np.multiply(closest, 2 * npx, out=closest), at, out=closest)
+        dd.fill(0.0)
+        for c in (0, 2, 1):
+            np.add(at_mean0, c * npx, out=at_mean)
+            np.take(flat_planes, at_mean, out=mu, mode="clip")
+            np.subtract(x[c], mu, out=delta)
+            dd += np.multiply(delta, delta, out=w_new)  # w_new is scattered, so free
+            mu += np.multiply(rho, delta, out=delta)
             np.copyto(mu, x[c], where=fresh)
-            np.put(self._planes, at_mean, mu)
-            dd.append(delta * delta)
-            at_mean += npx
-        v = np.take(self.variance, at)
-        v = np.clip(v + rho * (((dd[0] + dd[2]) + dd[1]) / 3.0 - v), cfg.var_min, cfg.var_max)
+            flat_planes[at_mean] = mu
+        v = mu
+        flat_variance = self.variance.reshape(-1)
+        np.take(flat_variance, at, out=v, mode="clip")
+        np.divide(dd, 3.0, out=dd)
+        dd -= v
+        v += np.multiply(rho, dd, out=dd)
+        np.clip(v, cfg.var_min, cfg.var_max, out=v)
         np.copyto(v, cfg.var_init, where=fresh)
-        np.put(self.variance, at, v)
+        flat_variance[at] = v
         missed = np.flatnonzero(fresh)
         ncomp[missed] = np.minimum(ncomp[missed] + 1, m)
         weight[:, missed] /= weight[:, missed].sum(axis=0, keepdims=True)
@@ -193,10 +214,10 @@ class BackgroundModel:
         # pass from the bottom carries it up; strict > leaves equal weights
         # in their order, as a stable sort would
         for k in range(int(ncomp.max()) - 1, 0, -1):
-            up = np.flatnonzero(weight[k] > weight[k - 1])
+            up = np.flatnonzero(np.greater(weight[k], weight[k - 1], out=hit))
             for a in (weight, variance, planes):
                 a[k - 1, ..., up], a[k, ..., up] = a[k, ..., up], a[k - 1, ..., up]
-        fg[lo:hi] = ~bg
+        np.logical_not(bg, out=bg)
 
     def likelihood(self, x, px: tuple[int, int]) -> float:
         """Mixture density at RGB value x for the pixel at (x, y) = px."""
@@ -211,6 +232,16 @@ class BackgroundModel:
             d2 = float(((x - self.mean[k, i]) ** 2).sum())
             total += self.weight[k, i] * (2.0 * np.pi * var) ** -1.5 * np.exp(-d2 / (2.0 * var))
         return total
+
+
+def _workspace(lo: int, hi: int):
+    """One strip's update buffers: float64 rows for the pixel's channels and
+    five temporaries, int64 rows for its flat indices lo..hi-1 (kept) and
+    three index temporaries, and two bool rows."""
+    n = hi - lo
+    ints = np.empty((4, n), dtype=np.int64)
+    ints[0] = np.arange(lo, hi)
+    return np.empty((8, n)), ints, np.empty((2, n), dtype=bool)
 
 
 def apply_mask(frame: Frame, mask: np.ndarray) -> Frame:

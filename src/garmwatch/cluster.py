@@ -78,6 +78,8 @@ def exclude_persons(clusters: list[RegionCluster], persons: PersonBoxes | None,
     containment_min of its bbox area.
     """
     check_number(containment_min, "containment_min", ValidationError, lo=0, hi=1)
+    if persons is not None and not isinstance(persons, PersonBoxes):
+        raise ValidationError(f"persons must be PersonBoxes or None, got {persons!r}")
     if persons is None or not persons.boxes:
         return list(clusters)
     out = []

@@ -117,6 +117,16 @@ def color_mask(fframe: Frame, band: ColorBand) -> np.ndarray:
     return _band_mask_from_planes(*_hsv_planes(fframe.pixels), band)
 
 
+# the luma levels, so the range of a binarize threshold; config's
+# binarize_threshold takes its range from here
+LUMA_RANGE = (0, 255)
+
+
+def check_threshold(threshold) -> int:
+    """threshold as an int, or ValidationError unless it is a luma level."""
+    return check_number(threshold, "threshold", ValidationError, True, *LUMA_RANGE)
+
+
 def _luma(pixels: np.ndarray) -> np.ndarray:
     p = pixels.astype(np.float64)  # RGB in the last axis; Rec. 601, rounded half up
     return np.floor(0.299 * p[..., 0] + 0.587 * p[..., 1] + 0.114 * p[..., 2] + 0.5)
@@ -128,6 +138,7 @@ def band_masks(frame: Frame, fg: np.ndarray, bands, threshold: int) -> list[np.n
     Equals binarize(masked_to_gray(F, color_mask(F, band)), threshold) with
     F = apply_mask(frame, fg) for any threshold >= 0, as F is black outside fg.
     """
+    threshold = check_threshold(threshold)
     fg = frame.check_mask(fg)
     idx = np.flatnonzero(fg)
     pixels = frame.pixels.reshape(-1, 3)[idx]

@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import MISSING, dataclass, fields
 
-from .colorseg import DEFAULT_BANDS, ColorBand
+from .colorseg import DEFAULT_BANDS, LUMA_RANGE, ColorBand
 from .errors import ConfigError, ValidationError, check_fields, check_number
 
 REFERENCE_AREA = 944 * 576
@@ -132,7 +132,7 @@ def parse_fields(cls, values: dict[str, str], error: type[Exception], where: str
 
 # (lo, hi) of the PipelineConfig fields with closed ranges; None is unbounded
 CLOSED_RANGES = {"history_length": (1, None), "max_components": (1, None),
-                 "binarize_threshold": (0, 255), "min_area": (0, None),
+                 "binarize_threshold": LUMA_RANGE, "min_area": (0, None),
                  "gap_threshold": (0, None), "containment_min": (0, 1),
                  "warmup_frames": (0, None)}
 

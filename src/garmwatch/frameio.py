@@ -67,8 +67,12 @@ class Frame:
 
     def check_mask(self, mask) -> np.ndarray:
         """mask as a bool array, or ShapeError unless its shape is (height, width)."""
-        if np.shape(mask) != self.pixels.shape[:2]:
-            raise ShapeError(f"mask is {np.shape(mask)}, frame is {self.pixels.shape[:2]}")
+        try:
+            shape = np.shape(mask)
+        except ValueError:  # a ragged nested sequence has no shape
+            raise ShapeError(f"mask is ragged, frame is {self.pixels.shape[:2]}") from None
+        if shape != self.pixels.shape[:2]:
+            raise ShapeError(f"mask is {shape}, frame is {self.pixels.shape[:2]}")
         return np.asarray(mask, dtype=bool)
 
 

@@ -91,8 +91,19 @@ def _ratio(num: int, den: int, other: int) -> float:
     return 1.0 if other == 0 else 0.0
 
 
+def _check_list(items, what: str, kind: type = object) -> None:
+    """ValidationError unless items is a list or tuple of kind."""
+    if not isinstance(items, (list, tuple)):
+        raise ValidationError(f"{what} must be a list, got {items!r}")
+    for item in items:
+        if not isinstance(item, kind):
+            raise ValidationError(f"{what} must hold {kind.__name__}s, got {item!r}")
+
+
 def _by_frame(detections: list[Detection],
               annotations: list[Annotation]) -> list[tuple[list[BoundingBox], list[BoundingBox]]]:
+    _check_list(detections, "detections", Detection)
+    _check_list(annotations, "annotations", Annotation)
     det_frames: dict[int, list[BoundingBox]] = {}
     for d in detections:
         det_frames.setdefault(d.frame_index, []).append(d.box)
@@ -134,6 +145,7 @@ def pr_curve(detections: list[Detection], annotations: list[Annotation],
     """Evaluate at each threshold, computing every IoU once; rows are
     (tau, precision, recall).  Frames are scored one at a time, adding to a
     true-positive count per threshold."""
+    _check_list(taus, "taus")
     taus = [_check_tau(tau) for tau in taus]
     if taus != sorted(taus):
         raise ValidationError("taus must be sorted ascending")

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .colorseg import check_threshold
 from .config import PipelineConfig, check_se_size
 from .errors import ValidationError, check_number
 from .frameio import BoundingBox
@@ -74,7 +75,7 @@ class Contour(Region):
 
 def binarize(gframe: np.ndarray, threshold: int) -> np.ndarray:
     """Bool mask of the pixels strictly above the threshold."""
-    return np.asarray(gframe) > threshold
+    return np.asarray(gframe) > check_threshold(threshold)
 
 
 def _square_run(mask: np.ndarray, size: int, op, pad: bool) -> np.ndarray:

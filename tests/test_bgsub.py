@@ -417,6 +417,26 @@ def test_a_failing_strip_fails_the_update(bad_lo):
             gc.enable()
 
 
+def test_update_writes_into_buffers_allocated_once():
+    # a settled model's update allocates the returned mask and the index lists
+    # of its few missed pixels, never a float64 plane of temporaries
+    w, h = 64, 48
+    m = strip_model(2, w, h)
+    assert m._strips == 2
+    rng = np.random.default_rng(14)
+    frames = [Frame(i, np.clip(rng.normal(128, 8, (h, w, 3)).round(), 0, 255).astype(np.uint8))
+              for i in range(11)]
+    for frame in frames[:10]:
+        m.update(frame)
+    tracemalloc.start()
+    try:
+        m.update(frames[10])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * w * h
+
+
 # ---------------------------------------------------------------------------
 # The update body against its fancy-index form, bit for bit
 

@@ -209,8 +209,9 @@ def test_failed_detect_keeps_previous_outputs(workspace, tmp_path, capsys):
 
 
 def test_detect_memory_flat_in_sidecar_length(tmp_path, monkeypatch):
-    # One strip thread keeps the update's temporaries, and so the peak,
-    # the same from run to run; a GWVS1 stream is read a frame at a time,
+    # The update writes into buffers allocated with the model, and one
+    # strip thread keeps its few other temporaries, and so the peak, the
+    # same from run to run; a GWVS1 stream is read a frame at a time,
     # and a PPM directory is listed without keeping its names.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     # the model's state stops growing within history_length frames

@@ -316,6 +316,11 @@ def test_exclude_validates_fraction():
         exclude_persons([], PersonBoxes(0, []), 1.5)
 
 
+def test_exclude_rejects_persons_of_another_kind():
+    with pytest.raises(ValidationError, match="persons must be PersonBoxes"):
+        exclude_persons([], "x")
+
+
 # ---------------------------------------------------------------------------
 # to_detections
 

@@ -25,7 +25,7 @@ from garmwatch import (DEFAULT_BANDS, Annotation, BackgroundModel, BoundingBox, 
                        masked_to_gray, match_frame, pr_curve, synth, to_detections)
 from garmwatch.colorseg import band_masks
 from garmwatch.config import parse_flat_text
-from garmwatch.regions import closed_regions
+from garmwatch.regions import binarize, closed_regions
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -273,6 +273,7 @@ def assert_plain(value):
 # the grid sizes is past physical memory.
 FRAME = Frame(0, np.zeros((3, 4, 3), np.uint8))
 MASK = np.zeros((3, 4), bool)
+RAGGED = [[1, 0, 1, 0], [1, 0, 1, 0], [1]]
 RULES = {
     "config-se_size": (lambda v: PipelineConfig(se_size=v), ConfigError,
                        {"str": "5", "none": None, "float": 5.0, "nan": math.nan, "range": 4}),
@@ -288,15 +289,21 @@ RULES = {
                  {"str": "0.5", "none": None, "nan": math.nan, "range": 1.5}),
     "to_detections": (lambda v: to_detections([], 0, v), ValidationError,
                       {"str": "9", "none": None, "float": 9.0, "nan": math.nan, "range": 0}),
+    "band_masks-threshold": (lambda v: band_masks(FRAME, MASK, DEFAULT_BANDS, v), ValidationError,
+                             {"str": "4", "none": None, "float": 4.5, "nan": math.nan,
+                              "range": 256, "negative": -1}),
+    "binarize": (lambda v: binarize(MASK, v), ValidationError,
+                 {"str": "4", "none": None, "float": 4.5, "nan": math.nan, "range": 256,
+                  "negative": -1}),
     "apply_mask": (lambda v: apply_mask(FRAME, v), ShapeError,
                    {"str": "mask", "none": None, "float": 1.0, "nan": math.nan,
-                    "range": MASK.T}),
+                    "range": MASK.T, "ragged": RAGGED}),
     "band_masks": (lambda v: band_masks(FRAME, v, DEFAULT_BANDS, 40), ShapeError,
                    {"str": "mask", "none": None, "float": 1.0, "nan": math.nan,
-                    "range": MASK[:2]}),
+                    "range": MASK[:2], "ragged": RAGGED}),
     "masked_to_gray": (lambda v: masked_to_gray(FRAME, v), ShapeError,
                        {"str": "mask", "none": None, "float": 1.0, "nan": math.nan,
-                        "range": MASK[None]}),
+                        "range": MASK[None], "ragged": RAGGED}),
     "model-memory": (lambda v: BackgroundModel(v, 4), ConfigError,
                      {"str": "4", "none": None, "float": 4.0, "nan": math.nan,
                       "range": 2**40}),

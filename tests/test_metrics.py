@@ -290,6 +290,19 @@ def test_curve_rejects_bad_taus():
         pr_curve([], [], [0.0, 0.5])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: evaluate(None, []),
+    lambda: evaluate([], "gt"),
+    lambda: evaluate([BoundingBox(0, 0, 1, 1)], []),
+    lambda: pr_curve([], [], None),
+    lambda: pr_curve(None, [], [0.5]),
+], ids=["evaluate-detections", "evaluate-annotations", "evaluate-records",
+        "pr_curve-taus", "pr_curve-detections"])
+def test_scoring_rejects_arguments_that_are_not_lists(call):
+    with pytest.raises(ValidationError, match="must be a list|must hold"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # formatting
 
